@@ -2,14 +2,14 @@
 
 This layer turns the static create/deploy/estimate flow into a serving
 system: :func:`generate_trace` produces a seeded stream of tenant
-sessions, and :class:`ClusterScheduler` replays it on a chip's
-discrete-event simulator — admitting, queueing, provisioning vNPUs and
-freeing them as tenants depart — while :class:`ServingMetrics` tracks
-queue delays, utilization and fragmentation over time.
-:class:`FleetScheduler` scales the same loop to N chips on one shared
-clock, with pluggable cross-chip placement policies and live vNPU
-migration for defragmentation (:class:`DefragPolicy`). Both schedulers
-price sessions through a pluggable :mod:`repro.cost` fidelity tier
+sessions, and :class:`FleetScheduler` replays it on N chips sharing
+one discrete-event clock — admitting, queueing, provisioning vNPUs and
+freeing them as tenants depart, with pluggable cross-chip placement
+policies and live vNPU migration for defragmentation
+(:class:`DefragPolicy`) — while :class:`FleetMetrics` tracks queue
+delays, utilization and fragmentation over time.
+:class:`ClusterScheduler` is the same scheduler over one caller-built
+chip and hypervisor. Sessions are priced through a pluggable :mod:`repro.cost` fidelity tier
 (``cost_model="analytic" | "executor" | "cached"``) and, when given an
 ``elastic=`` policy, enforce :class:`SLOClass` objectives by live
 grow/shrink resizing and preemption of lower tiers

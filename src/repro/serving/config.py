@@ -15,7 +15,8 @@ Policy *instances* are accepted too (they serialize by their registered
 ``name``; ad-hoc unregistered instances are refused at ``to_dict`` —
 an object with local state cannot cross a wire by name).
 
-Both schedulers accept ``config=``::
+``FleetScheduler`` and its one-chip ``ClusterScheduler`` accept
+``config=``::
 
     cfg = ServingConfig(policy="priority", elastic="shrink_then_preempt")
     fleet = FleetScheduler.homogeneous(4, cores=16, config=cfg)
@@ -69,9 +70,8 @@ class ServingConfig:
     """One declarative bundle of every scheduler configuration knob.
 
     Fields mirror :class:`~repro.serving.fleet.FleetScheduler` kwargs
-    exactly; :class:`~repro.serving.scheduler.ClusterScheduler` uses
-    the single-chip subset (``policy``/``strategy``/``cost_model``/
-    ``elastic``) and ignores the fleet-only fields. Construction is
+    exactly, and :class:`~repro.serving.scheduler.ClusterScheduler` —
+    a one-chip fleet — honours every one of them. Construction is
     fail-fast: every field is validated through its family's coerce
     helper, so a typo'd policy name raises here — before a fleet, a
     socket or a checkpoint ever sees it — naming the offending value
@@ -110,11 +110,6 @@ class ServingConfig:
     def fleet_kwargs(self) -> dict:
         """The :class:`FleetScheduler` constructor kwargs this names."""
         return {key: getattr(self, key) for key in CONFIG_KEYS}
-
-    def cluster_kwargs(self) -> dict:
-        """The single-chip :class:`ClusterScheduler` subset."""
-        return {"policy": self.policy, "strategy": self.strategy,
-                "cost_model": self.cost_model, "elastic": self.elastic}
 
     # -- wire format --------------------------------------------------------
     def to_dict(self) -> dict:

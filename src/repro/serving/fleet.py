@@ -4,10 +4,10 @@
 :class:`~repro.core.hypervisor.Hypervisor` and per-chip state — on one
 shared simulated clock (every :class:`~repro.arch.chip.Chip` is built on
 the same :class:`~repro.sim.engine.Simulator`). Arrivals are admitted by
-the same pluggable :class:`~repro.serving.policies.AdmissionPolicy`
-family the single-chip scheduler uses; *which chip* hosts an admitted
-session is decided by a :class:`PlacementPolicy`, registered by name
-through the same registry idiom:
+a pluggable :class:`~repro.serving.policies.AdmissionPolicy`; *which
+chip* hosts an admitted session is decided by a
+:class:`PlacementPolicy`, registered by name through the same registry
+idiom:
 
 - ``least_loaded`` — the chip with the most free cores;
 - ``best_fit`` — the chip whose trial placement has the smallest
@@ -63,13 +63,7 @@ from repro.serving.metrics import (
     SessionRecord,
     fragmentation_ratio,
 )
-from repro.serving.policies import AdmissionPolicy
-from repro.serving.scheduler import (
-    PendingSession,
-    coerce_policy,
-    drive_simulation,
-    requeue_in_arrival_order,
-)
+from repro.serving.policies import AdmissionPolicy, coerce_policy
 from repro.serving.slo import (
     ElasticAction,
     ElasticPolicy,
@@ -84,6 +78,68 @@ from repro.serving.slo import (
 )
 from repro.serving.workload import TenantSession
 from repro.sim import Simulator
+
+
+@dataclass(slots=True)
+class PendingSession:
+    """A queued arrival; ``blocked`` marks a failed placement attempt.
+
+    Blocked entries are skipped by policies until a departure changes the
+    free-core set (re-trying the same placement against the same free set
+    would fail identically). ``preemptions`` counts how many times this
+    session was elastically evicted back into the queue.
+    """
+
+    session: TenantSession
+    blocked: bool = False
+    preemptions: int = 0
+    #: Fault-tolerance history carried across a kill-and-requeue: how
+    #: often this session was evacuated or killed before, and the
+    #: service cycles those kills discarded (flows into the final
+    #: :class:`~repro.serving.metrics.SessionRecord`).
+    evacuations: int = 0
+    kills: int = 0
+    lost_service_cycles: int = 0
+    #: Set when an elastic-relief round was spent on this entry and its
+    #: placement *still* failed (a topology problem squeezing cannot
+    #: fix this instant). Cleared, like ``blocked``, when a departure
+    #: changes the free set — without it a preempt-capable policy can
+    #: livelock: evict a victim, fail to place, watch the victim
+    #: re-admit to the same cores, evict again, forever.
+    relief_exhausted: bool = False
+    #: The defrag counterpart of ``relief_exhausted``: set when a defrag
+    #: round migrated tenants on this entry's behalf and it *still*
+    #: failed to place. Without it two blocked entries livelock at one
+    #: cycle — each one's migrations unblock the other, whose failed
+    #: placement migrates again. Cleared with ``relief_exhausted``.
+    defrag_exhausted: bool = False
+
+
+def requeue_in_arrival_order(pending: "list[PendingSession]",
+                             session: TenantSession,
+                             preemptions: int,
+                             evacuations: int = 0,
+                             kills: int = 0,
+                             lost_service_cycles: int = 0) -> PendingSession:
+    """Put a preempted (or fault-killed) session back in the queue *by
+    arrival cycle*.
+
+    FCFS walks list order, so a tail append would silently cost the
+    victim its place in line on top of the restarted service. The
+    fault-tolerance counters ride along so a session killed by a chip
+    failure keeps its history through re-admission.
+    """
+    requeued = PendingSession(session, preemptions=preemptions,
+                              evacuations=evacuations, kills=kills,
+                              lost_service_cycles=lost_service_cycles)
+    key = (session.arrival_cycle, session.session_id)
+    index = len(pending)
+    for i, entry in enumerate(pending):
+        if (entry.session.arrival_cycle, entry.session.session_id) > key:
+            index = i
+            break
+    pending.insert(index, requeued)
+    return requeued
 
 
 @dataclass
@@ -269,7 +325,7 @@ class DefragPolicy:
                                "trigger")
 
 
-@dataclass
+@dataclass(slots=True)
 class ActiveFleetSession:
     session: TenantSession
     chip_index: int
@@ -378,10 +434,9 @@ class FleetScheduler:
         if not configs:
             raise ServingError("fleet needs at least one chip config")
         self.sim = sim or Simulator()
-        self.chips: list[FleetChip] = []
-        for index, config in enumerate(configs):
-            chip = Chip(config, sim=self.sim)
-            self.chips.append(FleetChip(index, chip, Hypervisor(chip)))
+        self.chips: list[FleetChip] = [
+            self._build_chip(index, config)
+            for index, config in enumerate(configs)]
         self.policy = coerce_policy(policy)
         self.placement = coerce_placement(placement)
         if strategy is not None:
@@ -409,6 +464,12 @@ class FleetScheduler:
         #: capture the arrivals not yet injected.
         self._trace: list[TenantSession] = []
         self._arrival_index = 0
+
+    def _build_chip(self, index: int, config: SoCConfig) -> FleetChip:
+        """Build fleet chip ``index`` (with its hypervisor) on the shared
+        clock."""
+        chip = Chip(config, sim=self.sim)
+        return FleetChip(index, chip, Hypervisor(chip))
 
     @classmethod
     def homogeneous(cls, chips: int, cores: int = 36,
@@ -470,35 +531,38 @@ class FleetScheduler:
     def register_model(self, name: str, builder) -> None:
         self.cost_model.register_model(name, builder)
 
+    def _validate(self, session: TenantSession) -> None:
+        """Refuse a session no chip of this fleet can ever host.
+
+        A request past the largest chip's core count or guest-memory
+        capacity must fail up front: parked behind a busy fleet it
+        would otherwise wait forever.
+        """
+        if session.model not in self.cost_model.models:
+            raise ServingError(
+                f"session {session.session_id} wants unknown model "
+                f"{session.model!r}")
+        largest = max(fc.chip.core_count for fc in self.chips)
+        if session.core_count > largest:
+            raise ServingError(
+                f"session {session.session_id} wants "
+                f"{session.core_count} cores; largest fleet chip has "
+                f"{largest}")
+        largest_memory = max(fc.hypervisor.guest_memory_capacity
+                             for fc in self.chips)
+        if session.memory_bytes > largest_memory:
+            raise ServingError(
+                f"session {session.session_id} wants "
+                f"{session.memory_bytes} guest bytes; largest fleet "
+                f"chip can map {largest_memory}")
+
     def submit(self, trace: "list[TenantSession]") -> None:
         """Queue a trace; arrivals are replayed at their recorded cycles."""
         if self._trace_loaded:
             raise ServingError("scheduler already has a trace submitted")
-        largest = max(fc.chip.core_count for fc in self.chips)
-        largest_memory = max(fc.hypervisor.guest_memory_capacity
-                             for fc in self.chips)
         ordered = sorted(trace, key=lambda s: (s.arrival_cycle, s.session_id))
         for session in ordered:
-            if session.model not in self.cost_model.models:
-                raise ServingError(
-                    f"session {session.session_id} wants unknown model "
-                    f"{session.model!r}"
-                )
-            if session.core_count > largest:
-                raise ServingError(
-                    f"session {session.session_id} wants "
-                    f"{session.core_count} cores; largest fleet chip has "
-                    f"{largest}"
-                )
-            if session.memory_bytes > largest_memory:
-                # Mirror the core check: a request no empty chip can
-                # ever satisfy must be refused up front — parked behind
-                # a busy fleet it would otherwise wait forever.
-                raise ServingError(
-                    f"session {session.session_id} wants "
-                    f"{session.memory_bytes} guest bytes; largest fleet "
-                    f"chip can map {largest_memory}"
-                )
+            self._validate(session)
         self._trace = ordered
         self._arrival_index = 0
         self.sim.process(self._arrivals(ordered), name="fleet-arrivals")
@@ -534,23 +598,7 @@ class FleetScheduler:
         """
         if not self._trace_loaded:
             raise ServingError("begin_stream() or submit() before enqueue()")
-        if session.model not in self.cost_model.models:
-            raise ServingError(
-                f"session {session.session_id} wants unknown model "
-                f"{session.model!r}")
-        largest = max(fc.chip.core_count for fc in self.chips)
-        if session.core_count > largest:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.core_count} cores; largest fleet chip has "
-                f"{largest}")
-        largest_memory = max(fc.hypervisor.guest_memory_capacity
-                             for fc in self.chips)
-        if session.memory_bytes > largest_memory:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.memory_bytes} guest bytes; largest fleet "
-                f"chip can map {largest_memory}")
+        self._validate(session)
         requeue_in_arrival_order(
             self._pending, session, preemptions,
             evacuations=evacuations, kills=kills,
@@ -568,10 +616,26 @@ class FleetScheduler:
 
     def run(self, until: int | None = None,
             limit: int | None = None) -> int:
-        """Drive the simulation (``limit`` as in ClusterScheduler.run)."""
+        """Drive the simulation until the trace is fully served.
+
+        ``until`` bounds simulated time (no deadlock detection).
+        ``limit`` overrides the engine's deadlock-detection horizon —
+        long traces priced by the slower (higher-fidelity) cost tiers
+        can legitimately outlive the default. It only applies to
+        run-to-completion; combining it with ``until`` is a
+        contradiction and rejected.
+        """
         if not self._trace_loaded:
             raise ServingError("submit() a trace before run()")
-        return drive_simulation(self.sim, until, limit)
+        if until is not None:
+            if limit is not None:
+                raise ServingError(
+                    "pass either until (bounded run) or limit (deadlock "
+                    "horizon), not both")
+            return self.sim.run(until=until)
+        if limit is not None:
+            return self.sim.run_until_processes_done(limit=limit)
+        return self.sim.run_until_processes_done()
 
     def serve(self, trace: "list[TenantSession]",
               limit: int | None = None) -> FleetMetrics:
@@ -604,7 +668,8 @@ class FleetScheduler:
             "chips": [fc.hypervisor.snapshot_state() for fc in self.chips],
             "pending": [
                 (e.session, e.preemptions, e.evacuations, e.kills,
-                 e.lost_service_cycles, e.blocked, e.relief_exhausted)
+                 e.lost_service_cycles, e.blocked, e.relief_exhausted,
+                 e.defrag_exhausted)
                 for e in self._pending
             ],
             "active": sorted(
@@ -650,13 +715,12 @@ class FleetScheduler:
             fleet_chip.hypervisor.restore_state(chip_state)
         fleet.metrics = state["metrics"]
         for (session, preemptions, evacuations, kills, lost, blocked,
-             relief_exhausted) in state["pending"]:
-            entry = PendingSession(
-                session, preemptions=preemptions, evacuations=evacuations,
-                kills=kills, lost_service_cycles=lost)
-            entry.blocked = blocked
-            entry.relief_exhausted = relief_exhausted
-            fleet._pending.append(entry)
+             relief_exhausted, defrag_exhausted) in state["pending"]:
+            fleet._pending.append(PendingSession(
+                session, blocked=blocked, preemptions=preemptions,
+                evacuations=evacuations, kills=kills,
+                lost_service_cycles=lost, relief_exhausted=relief_exhausted,
+                defrag_exhausted=defrag_exhausted))
         for active in state["active"]:
             fleet._active[(active.chip_index, active.vmid)] = active
             fleet.sim.process(
@@ -718,6 +782,7 @@ class FleetScheduler:
         for entry in self._pending:
             entry.blocked = False
             entry.relief_exhausted = False
+            entry.defrag_exhausted = False
         self._admit_loop()
         self._grow_back()
         self._sample()
@@ -746,11 +811,16 @@ class FleetScheduler:
             self._pending.remove(entry)
             self.metrics.rejected += 1
             return
-        if self.defrag is not None and self._defragment(entry.session):
+        if (self.defrag is not None and not entry.defrag_exhausted
+                and self._defragment(entry.session)):
             for pending in self._pending:
                 pending.blocked = False
             if self._place(entry):
                 return
+            # One defrag round per entry per free-set change: what the
+            # migrations could not open up, more migrations at this
+            # instant will not either.
+            entry.defrag_exhausted = True
         entry.blocked = True
 
     def _refused_by_idle_chip(self, session: TenantSession) -> bool:
@@ -1135,6 +1205,7 @@ class FleetScheduler:
         for pending in self._pending:
             pending.blocked = False
             pending.relief_exhausted = False
+            pending.defrag_exhausted = False
         self._admit_loop()
         self._sample()
 
@@ -1155,6 +1226,7 @@ class FleetScheduler:
         for pending in self._pending:
             pending.blocked = False
             pending.relief_exhausted = False
+            pending.defrag_exhausted = False
         self._admit_loop()
         self._grow_back()
         self._sample()

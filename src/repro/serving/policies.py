@@ -21,7 +21,7 @@ from repro.errors import ServingError
 from repro.serving.slo import effective_priority
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.serving.scheduler import PendingSession
+    from repro.serving.fleet import PendingSession
 
 
 @runtime_checkable

@@ -191,23 +191,7 @@ class ControlPlane:
         if session.session_id in self._in_flight_ids():
             raise ServingError(
                 f"session {session.session_id} is already in flight")
-        if session.model not in self.fleet.cost_model.models:
-            raise ServingError(
-                f"session {session.session_id} wants unknown model "
-                f"{session.model!r}")
-        largest = max(fc.chip.core_count for fc in self.fleet.chips)
-        if session.core_count > largest:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.core_count} cores; largest fleet chip has "
-                f"{largest}")
-        largest_memory = max(fc.hypervisor.guest_memory_capacity
-                             for fc in self.fleet.chips)
-        if session.memory_bytes > largest_memory:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.memory_bytes} guest bytes; largest fleet "
-                f"chip can map {largest_memory}")
+        self.fleet._validate(session)
 
     def admit(self, session: TenantSession) -> dict:
         """Validate + buffer one admission; the protocol ``admit`` op.

@@ -108,7 +108,7 @@ from repro.serving.faults import (
     partition_schedule,
 )
 from repro.serving.metrics import FleetMetrics, merge_fleet_summaries
-from repro.serving.scheduler import coerce_policy
+from repro.serving.policies import coerce_policy
 from repro.serving.workload import TenantSession, deal_sessions
 
 #: Dealing modes: ``balanced`` routes each session to the eligible

@@ -186,8 +186,7 @@ def make_victim(active) -> ElasticVictim | None:
     """The policy's view of one resident session, or ``None`` when its
     class forbids both shrinking and preemption.
 
-    Shared by both schedulers so eligibility and the freeable-cores
-    arithmetic cannot drift between them. ``active`` is any object with
+    ``active`` is any object with
     ``slo``/``rows``/``cols``/``cores``/``admit_cycle``/``session``.
     """
     if not (active.slo.shrinkable or active.slo.preemptible):
@@ -206,7 +205,7 @@ def make_victim(active) -> ElasticVictim | None:
 
 
 def reprice(active, new_total: int, charge: int, now: int) -> None:
-    """Re-project a resized session's departure (shared formula).
+    """Re-project a resized session's departure.
 
     The un-served fraction of the old projection is re-priced at the new
     placement's full-service estimate, plus the resize charge itself.

@@ -428,23 +428,30 @@ class TestEvacuationPolicies:
 
 # -- preempt-at-departure race (same-cycle preempt + lifetime timeout) -------
 
+#: Both scheduler constructors: the one-chip ``ClusterScheduler`` runs the
+#: same lifecycle as a fleet, so these regressions cover both at once.
+SCHEDULERS = pytest.mark.parametrize("build", [
+    lambda chips: ClusterScheduler(Chip(sim_config(16))),
+    lambda chips: FleetScheduler.homogeneous(chips, cores=16),
+], ids=["cluster", "fleet"])
+
+
 class TestPreemptAtDepartureRace:
     """A preemption landing at the session's exact departure cycle must
     make the sleeping lifetime process vanish via the ``preempted``
     guard — not double-depart an already-destroyed vNPU."""
 
-    def test_cluster_scheduler(self):
-        probe_chip = Chip(sim_config(16))
-        probe = ClusterScheduler(probe_chip)
+    @SCHEDULERS
+    def test_preempt_at_departure_cycle(self, build):
+        probe = build(1)
         depart = probe.serve([session(session_id=1)]).records[0].depart_cycle
 
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip)
+        scheduler = build(1)
 
         def racer():
             yield scheduler.sim.timeout(depart)
             active = next(iter(scheduler._active.values()))
-            scheduler._preempt(active)
+            scheduler._preempt(scheduler.chips[active.chip_index], active)
             scheduler._admit_loop()
 
         # Registered before submit: at the shared departure cycle the
@@ -456,43 +463,19 @@ class TestPreemptAtDepartureRace:
         assert record.preemptions == 1
         assert record.depart_cycle > depart   # service restarted
 
-    def test_fleet_scheduler(self):
-        probe = FleetScheduler.homogeneous(1, cores=16)
-        depart = probe.serve([session(session_id=1)]).records[0].depart_cycle
-
-        fleet = FleetScheduler.homogeneous(1, cores=16)
-
-        def racer():
-            yield fleet.sim.timeout(depart)
-            active = next(iter(fleet._active.values()))
-            fleet._preempt(fleet.chips[active.chip_index], active)
-            fleet._admit_loop()
-
-        fleet.sim.process(racer(), name="racer")
-        metrics = fleet.serve([session(session_id=1)])
-        assert len(metrics.records) == 1
-        record = metrics.records[0]
-        assert record.preemptions == 1
-        assert record.depart_cycle > depart
-
 
 # -- satellite regressions ---------------------------------------------------
 
 class TestSubmitMemoryValidation:
-    def test_cluster_scheduler_refuses_unmappable_memory(self):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip)
-        too_much = scheduler.hypervisor.guest_memory_capacity + 1
-        with pytest.raises(ServingError):
-            scheduler.submit([session(session_id=1, memory_bytes=too_much)])
-
-    def test_fleet_scheduler_refuses_unmappable_memory(self):
-        fleet = FleetScheduler.homogeneous(2, cores=16)
+    @SCHEDULERS
+    def test_refuses_unmappable_memory(self, build):
+        scheduler = build(2)
         largest = max(fc.hypervisor.guest_memory_capacity
-                      for fc in fleet.chips)
-        with pytest.raises(ServingError):
-            fleet.submit([session(session_id=1, memory_bytes=largest + 1)])
-        FleetScheduler.homogeneous(2, cores=16).submit(
+                      for fc in scheduler.chips)
+        with pytest.raises(ServingError, match="guest bytes"):
+            scheduler.submit([session(session_id=1,
+                                      memory_bytes=largest + 1)])
+        build(2).submit(
             [session(session_id=1, memory_bytes=largest)])  # boundary OK
 
 

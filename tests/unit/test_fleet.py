@@ -226,3 +226,53 @@ class TestMigrateVnpuApi:
         assert cost > 0
         assert migrated.mapping.connected
         assert len(hypervisor.vnpus) == 1
+
+
+class TestDefragLivelock:
+    """Each pending entry spends at most one defrag round per free-set
+    change. Without that budget two blocked entries ping-pong: each one's
+    migrations unblock the other, whose failed placement migrates again,
+    forever at one simulated cycle (here: cycle 305,313,259)."""
+
+    LIVELOCK_CYCLE = 305_313_259
+
+    def make(self):
+        fleet = FleetScheduler.homogeneous(2, cores=16, placement="best_fit",
+                                           defrag=DefragPolicy(0.2))
+        fleet.submit(generate_fleet_trace(
+            1, 40, 2, max_cores=16, fragmentation_heavy=True,
+            mean_interarrival_cycles=20_000_000))
+        migrate = fleet._migrate
+
+        def bounded(*args, **kwargs):
+            # A regression would hang the bounded run; fail it instead.
+            assert fleet.metrics.migrations < 100, (
+                f"defrag livelock at cycle {fleet.sim.now}")
+            return migrate(*args, **kwargs)
+
+        fleet._migrate = bounded
+        return fleet
+
+    def test_blocked_entries_do_not_ping_pong(self):
+        fleet = self.make()
+        assert fleet.run(until=self.LIVELOCK_CYCLE + 1) == \
+            self.LIVELOCK_CYCLE + 1
+        stuck = fleet.pending_sessions
+        assert len(stuck) == 2
+        assert all(e.blocked and e.defrag_exhausted for e in stuck)
+        fleet.run()
+        assert len(fleet.metrics.records) == 40
+        assert fleet.metrics.migrations <= 10
+
+    def test_defrag_budget_rides_the_checkpoint(self):
+        fleet = self.make()
+        fleet.run(until=self.LIVELOCK_CYCLE + 1)
+        restored = FleetScheduler.restore(
+            fleet.snapshot(), placement="best_fit", defrag=DefragPolicy(0.2))
+        assert ([e.defrag_exhausted for e in restored.pending_sessions]
+                == [e.defrag_exhausted for e in fleet.pending_sessions]
+                == [True, True])
+        fleet.run()
+        restored.run()
+        assert restored.metrics.records == fleet.metrics.records
+        assert restored.metrics.migrations == fleet.metrics.migrations

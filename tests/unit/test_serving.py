@@ -298,6 +298,25 @@ class TestClusterScheduler:
         with pytest.raises(ServingError):
             scheduler.submit([session(rows=6, cols=6)])
 
+    def test_shared_hypervisor_serves_around_squatter(self):
+        """The scheduler adopts a hypervisor that already hosts a vNPU it
+        did not admit: the trace is served on the remaining cores and
+        the squatter is never touched."""
+        chip = Chip(sim_config(16))
+        hv = Hypervisor(chip)
+        squatter = hv.create_vnpu(VNpuSpec("squatter", MeshShape(2, 2),
+                                           32 * MB))
+        cores = squatter.physical_cores
+        scheduler = ClusterScheduler(chip, hv)
+        assert scheduler.chips[0].hypervisor is hv
+        trace = generate_trace(11, 25, max_cores=12)
+        metrics = scheduler.serve(trace)
+        assert len(metrics.records) == len(trace)
+        assert metrics.rejected == 0
+        assert hv.vnpus == [squatter]
+        assert hv.vnpu(squatter.vmid).physical_cores == cores
+        assert all(s.free_cores <= 12 for s in metrics.samples)
+
     def test_queue_delay_zero_on_idle_chip(self):
         scheduler, _ = self.make()
         # One tiny tenant on an empty chip: admitted the cycle it arrives.

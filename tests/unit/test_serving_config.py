@@ -181,17 +181,35 @@ class TestConfigPassThrough:
                                            policy="fcfs")
         assert fleet.policy.name == "priority"
 
-    def test_cluster_scheduler_uses_single_chip_subset(self):
+    def test_cluster_scheduler_applies_full_config(self):
         from repro.arch.chip import Chip
         from repro.arch.config import sim_config
 
-        config = ServingConfig(policy="priority", placement="best_fit",
-                               elastic="preempt")
+        # A ClusterScheduler is a one-chip fleet: every knob applies,
+        # including the ones a single chip makes trivial.
+        config = ServingConfig(
+            policy="priority", placement="best_fit", strategy="exact",
+            defrag=DefragPolicy(fragmentation_threshold=0.4),
+            cost_model="cached", elastic="preempt",
+            faults=FailureSchedule((
+                FailureEvent(cycle=1_000, chip_index=0, kind="hbm",
+                             duration_cycles=5_000),)),
+            evacuation="kill_requeue")
         scheduler = ClusterScheduler(Chip(sim_config(16)), config=config)
+        assert scheduler.chip_count == 1
         assert scheduler.policy.name == "priority"
-        assert scheduler.elastic is not None
-        cluster_keys = set(config.cluster_kwargs())
-        assert "placement" not in cluster_keys  # fleet-only knob
+        assert scheduler.placement.name == "best_fit"
+        assert scheduler.strategy == "exact"
+        assert scheduler.defrag == config.defrag
+        assert scheduler.cost_model.name == "cached"
+        assert scheduler.elastic.name == "preempt"
+        assert scheduler.faults is config.faults
+        assert scheduler.metrics.faults_enabled
+        assert scheduler.evacuation == "kill_requeue"
+        explicit = ClusterScheduler(Chip(sim_config(16)), config=config,
+                                    policy="best_fit")
+        assert explicit.policy.name == "best_fit"  # explicit still wins
+        assert explicit.placement.name == "best_fit"
 
 
 class TestTraceSpec:

@@ -430,7 +430,7 @@ class TestSlotHygiene:
     def test_serving_objects_have_no_dict(self):
         from repro.serving.metrics import (ClusterSample, FleetSample,
                                            SessionRecord)
-        from repro.serving.scheduler import ActiveSession, PendingSession
+        from repro.serving.fleet import ActiveFleetSession, PendingSession
         from repro.serving.slo import session_slo
         from repro.serving.workload import TenantSession
 
@@ -438,9 +438,9 @@ class TestSlotHygiene:
             session_id=0, tenant="t0", arrival_cycle=0, rows=2, cols=2,
             memory_bytes=1 << 20, model="bert", inferences=4)
         self._assert_dictless(PendingSession(session=session))
-        self._assert_dictless(ActiveSession(
-            session=session, vmid=1, admit_cycle=5, strategy="exact",
-            mapping_distance=0.0, mapping_connected=True,
+        self._assert_dictless(ActiveFleetSession(
+            session=session, chip_index=0, vmid=1, admit_cycle=5,
+            strategy="exact", mapping_distance=0.0, mapping_connected=True,
             slo=session_slo(session), rows=2, cols=2,
             service_total=100, expected_depart=105))
         self._assert_dictless(ClusterSample(
