@@ -66,7 +66,6 @@ from repro.serving import (
     DefragPolicy,
     FleetMetrics,
     FleetScheduler,
-    ServingMetrics,
     generate_fleet_trace,
     generate_trace,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "NoCConfig",
     "ReproError",
     "RunReport",
-    "ServingMetrics",
     "SoCConfig",
     "Topology",
     "TopologyMapper",

@@ -53,10 +53,7 @@ from repro.serving.fleet import (
     unregister_placement,
 )
 from repro.serving.metrics import (
-    ClusterSample,
     FleetMetrics,
-    FleetSample,
-    ServingMetrics,
     SessionRecord,
     SLOMetrics,
     canonical_json,
@@ -148,7 +145,6 @@ __all__ = [
     "BestFitPolicy",
     "CONFIG_KEYS",
     "CRASH_KINDS",
-    "ClusterSample",
     "ClusterScheduler",
     "ControlPlane",
     "CrashEvent",
@@ -168,7 +164,6 @@ __all__ = [
     "FailureSchedule",
     "FleetChip",
     "FleetMetrics",
-    "FleetSample",
     "FleetScheduler",
     "GOLD",
     "LeastLoadedPlacement",
@@ -188,7 +183,6 @@ __all__ = [
     "ServiceClient",
     "ServiceTimeEstimator",
     "ServingConfig",
-    "ServingMetrics",
     "SessionRecord",
     "ShardSlice",
     "ShardedFleetScheduler",

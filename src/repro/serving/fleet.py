@@ -57,9 +57,7 @@ from repro.serving.faults import (
     coerce_evacuation,
 )
 from repro.serving.metrics import (
-    ClusterSample,
     FleetMetrics,
-    FleetSample,
     SessionRecord,
     fragmentation_ratio,
 )
@@ -78,6 +76,10 @@ from repro.serving.slo import (
 )
 from repro.serving.workload import TenantSession
 from repro.sim import Simulator
+
+#: Version of the pickled :meth:`FleetScheduler.snapshot` shape (keys,
+#: pending tuple, metrics object); bump it whenever that shape changes.
+SNAPSHOT_FORMAT = 1
 
 
 @dataclass(slots=True)
@@ -663,6 +665,7 @@ class FleetScheduler:
         serialized (or dropped) before the scheduler advances.
         """
         state = {
+            "format": SNAPSHOT_FORMAT,
             "cycle": self.sim.now,
             "configs": [fc.chip.config for fc in self.chips],
             "chips": [fc.hypervisor.snapshot_state() for fc in self.chips],
@@ -699,8 +702,13 @@ class FleetScheduler:
         next to the state and hands both back here on warm restart.
         Buddy-allocator addresses are re-assigned on restore (logical
         state round-trips; physical addresses may differ — see
-        ``Hypervisor.snapshot_state``).
+        ``Hypervisor.snapshot_state``). A snapshot of any other
+        :data:`SNAPSHOT_FORMAT` raises rather than half-restores.
         """
+        found = state.get("format")
+        if found != SNAPSHOT_FORMAT:
+            raise ServingError(f"snapshot format {found!r} is not the "
+                               f"supported format {SNAPSHOT_FORMAT}")
         kwargs.setdefault("evacuation", state["evacuation"])
         if state["cost_tier"]:
             kwargs.setdefault("cost_model", state["cost_tier"])
@@ -1282,22 +1290,12 @@ class FleetScheduler:
 
     # -- observability -----------------------------------------------------
     def _sample(self) -> None:
-        free = tuple(fc.free_cores() for fc in self.chips)
+        free = sum(fc.free_cores() for fc in self.chips)
         utilization = tuple(fc.utilization() for fc in self.chips)
-        fragmentation = tuple(fc.fragmentation() for fc in self.chips)
-        queue_length = len(self._pending)
-        total_cores = self.core_count
-        self.metrics.sample(ClusterSample(
-            cycle=self.sim.now,
-            free_cores=sum(free),
-            utilization=1.0 - sum(free) / total_cores,
+        fragmentation = [fc.fragmentation() for fc in self.chips]
+        self.metrics.sample(
+            self.sim.now,
+            utilization=1.0 - free / self.core_count,
             fragmentation=sum(fragmentation) / len(fragmentation),
-            queue_length=queue_length,
-        ))
-        self.metrics.sample_fleet(FleetSample(
-            cycle=self.sim.now,
-            queue_length=queue_length,
-            free_cores=free,
-            utilization=utilization,
-            fragmentation=fragmentation,
-        ))
+            queue_length=len(self._pending),
+            chip_utilization=utilization)

@@ -1,4 +1,4 @@
-"""Serving metrics: per-session records plus time-series cluster samples.
+"""Serving metrics: per-session records plus time-weighted cluster state.
 
 Everything here is deterministic and JSON-friendly — the benchmark's
 byte-identical-output guarantee flows through this module, so no wall
@@ -41,10 +41,10 @@ def summary_wire(summary: dict) -> dict:
 
 def percentile(values: list[int | float], pct: float) -> float:
     """Nearest-rank percentile (``pct`` in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
     if not 0 <= pct <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    if not values:
+        return 0.0
     ordered = sorted(values)
     rank = max(1, -(-len(ordered) * pct // 100))  # ceil without floats
     return float(ordered[int(rank) - 1])
@@ -81,9 +81,9 @@ def fragmentation_ratio(topology: Topology, allocated: set[int]) -> float:
 class SessionRecord:
     """Lifecycle of one served tenant session.
 
-    One record per session, held for the whole run: ``slots=True`` (like
-    the per-event samples below) keeps the metrics stream's allocation
-    footprint flat on million-session traces.
+    One record per session, held for the whole run: ``slots=True`` keeps
+    the metrics stream's allocation footprint flat on million-session
+    traces.
     """
 
     session_id: int
@@ -121,17 +121,6 @@ class SessionRecord:
     @property
     def service_cycles(self) -> int:
         return self.depart_cycle - self.admit_cycle
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterSample:
-    """Cluster state at one simulation instant (taken on every event)."""
-
-    cycle: int
-    free_cores: int
-    utilization: float
-    fragmentation: float
-    queue_length: int
 
 
 @dataclass
@@ -191,11 +180,16 @@ class SLOMetrics:
 
 
 @dataclass
-class ServingMetrics:
-    """Accumulates records and samples over one scheduler run."""
+class FleetMetrics:
+    """Accumulates one scheduler run: records, counters, cluster state.
+
+    ``records`` and ``fault_log`` are the only per-event history kept:
+    every sampled instant is folded into running time-weighted
+    integrals (:meth:`sample`), so the object, pickled into every shard
+    fence checkpoint, never grows with the event count.
+    """
 
     records: list[SessionRecord] = field(default_factory=list)
-    samples: list[ClusterSample] = field(default_factory=list)
     #: Failed admission attempts — topology lock-in, no connected subset
     #: *or* guest-memory exhaustion (the scheduler cannot tell which
     #: phase of ``create_vnpu`` refused, so the counter is named for the
@@ -210,100 +204,6 @@ class ServingMetrics:
     shrinks: int = 0
     grows: int = 0
     resize_cycles: int = 0
-
-    def record_departure(self, record: SessionRecord) -> None:
-        self.records.append(record)
-
-    def sample(self, sample: ClusterSample) -> None:
-        self.samples.append(sample)
-
-    def record_resize(self, cycles: int, grew: bool) -> None:
-        if grew:
-            self.grows += 1
-        else:
-            self.shrinks += 1
-        self.resize_cycles += cycles
-
-    # -- aggregation -------------------------------------------------------
-    def _time_weighted_mean(self, attribute: str) -> float:
-        """Mean of a sample field weighted by how long each state held."""
-        if len(self.samples) < 2:
-            return getattr(self.samples[0], attribute) if self.samples else 0.0
-        total = 0.0
-        span = self.samples[-1].cycle - self.samples[0].cycle
-        if span <= 0:
-            return getattr(self.samples[-1], attribute)
-        for current, following in zip(self.samples, self.samples[1:]):
-            total += getattr(current, attribute) * (following.cycle
-                                                    - current.cycle)
-        return total / span
-
-    def summary(self, frequency_hz: int) -> dict:
-        """A JSON-able digest of the run (rounded for stable serialization)."""
-        delays = [r.queue_delay_cycles for r in self.records]
-        makespan = self.samples[-1].cycle if self.samples else 0
-        seconds = makespan / frequency_hz if makespan else 0.0
-        return {
-            "sessions_completed": len(self.records),
-            "sessions_per_second": round(
-                len(self.records) / seconds if seconds else 0.0, 6),
-            "makespan_cycles": makespan,
-            "queue_delay_cycles": {
-                "mean": round(sum(delays) / len(delays) if delays else 0.0, 3),
-                "p50": percentile(delays, 50),
-                "p95": percentile(delays, 95),
-                "max": float(max(delays)) if delays else 0.0,
-            },
-            "utilization_time_weighted": round(
-                self._time_weighted_mean("utilization"), 6),
-            "fragmentation": {
-                "time_weighted_mean": round(
-                    self._time_weighted_mean("fragmentation"), 6),
-                "max": round(max((s.fragmentation for s in self.samples),
-                                 default=0.0), 6),
-            },
-            "queue_length_max": max((s.queue_length for s in self.samples),
-                                    default=0),
-            "admission_failures": self.admission_failures,
-            "sessions_rejected": self.rejected,
-            "slo": {
-                "classes": SLOMetrics.from_records(self.records,
-                                                   seconds).digest(),
-                "grows": self.grows,
-                "preemptions": self.preemptions,
-                "resize_cycles": self.resize_cycles,
-                "shrinks": self.shrinks,
-            },
-        }
-
-
-@dataclass(frozen=True, slots=True)
-class FleetSample:
-    """Per-chip cluster state at one simulation instant."""
-
-    cycle: int
-    queue_length: int
-    free_cores: tuple[int, ...]
-    utilization: tuple[float, ...]
-    fragmentation: tuple[float, ...]
-
-    @property
-    def utilization_spread(self) -> float:
-        """Max-minus-min chip utilization: 0.0 means a balanced fleet."""
-        return max(self.utilization) - min(self.utilization)
-
-
-@dataclass
-class FleetMetrics(ServingMetrics):
-    """ServingMetrics plus per-chip samples and migration accounting.
-
-    The inherited ``samples`` hold the fleet *aggregate* (total free
-    cores, fleet-wide utilization, mean fragmentation), so every
-    single-chip summary statistic keeps its meaning; ``fleet_samples``
-    break the same instants down per chip.
-    """
-
-    fleet_samples: list[FleetSample] = field(default_factory=list)
     #: Completed live migrations and their total cycle cost.
     migrations: int = 0
     migration_cycles: int = 0
@@ -324,9 +224,60 @@ class FleetMetrics(ServingMetrics):
     #: "chip", "kind"} per event, in injection order — what the
     #: failover bench derives recovery times from.
     fault_log: list[dict] = field(default_factory=list)
+    #: The folded time series (see :meth:`sample`): first and last
+    #: sampled cycle (``first_cycle`` is None before any sample), the
+    #: last instant's values, one running area (value x cycles held)
+    #: per value, and running maxima. Sampled values are nonnegative.
+    first_cycle: int | None = None
+    last_cycle: int = 0
+    utilization: float = 0.0
+    fragmentation: float = 0.0
+    utilization_spread: float = 0.0
+    chip_utilization: tuple[float, ...] = ()
+    utilization_area: float = 0.0
+    fragmentation_area: float = 0.0
+    utilization_spread_area: float = 0.0
+    chip_utilization_area: list[float] = field(default_factory=list)
+    fragmentation_max: float = 0.0
+    queue_length_max: int = 0
 
-    def sample_fleet(self, sample: FleetSample) -> None:
-        self.fleet_samples.append(sample)
+    def record_departure(self, record: SessionRecord) -> None:
+        self.records.append(record)
+
+    def sample(self, cycle: int, *, utilization: float,
+               fragmentation: float, queue_length: int,
+               chip_utilization: tuple[float, ...]) -> None:
+        """Fold one instant: fleet utilization, mean chip fragmentation,
+        queue length and per-chip utilization.
+
+        The previous instant's values are weighted by the cycles they
+        held (zero on the first sample) *before* being replaced — the
+        summation order of a pairwise pass over stored samples, so the
+        integrals are bit-identical to one.
+        """
+        if self.first_cycle is None:
+            self.first_cycle = self.last_cycle = cycle
+            self.chip_utilization_area = [0.0] * len(chip_utilization)
+        weight = cycle - self.last_cycle
+        self.utilization_area += self.utilization * weight
+        self.fragmentation_area += self.fragmentation * weight
+        self.utilization_spread_area += self.utilization_spread * weight
+        for index, value in enumerate(self.chip_utilization):
+            self.chip_utilization_area[index] += value * weight
+        self.fragmentation_max = max(self.fragmentation_max, fragmentation)
+        self.queue_length_max = max(self.queue_length_max, queue_length)
+        self.last_cycle = cycle
+        self.utilization = utilization
+        self.fragmentation = fragmentation
+        self.utilization_spread = max(chip_utilization) - min(chip_utilization)
+        self.chip_utilization = chip_utilization
+
+    def record_resize(self, cycles: int, grew: bool) -> None:
+        if grew:
+            self.grows += 1
+        else:
+            self.shrinks += 1
+        self.resize_cycles += cycles
 
     def record_migration(self, cycles: int) -> None:
         self.migrations += 1
@@ -353,63 +304,100 @@ class FleetMetrics(ServingMetrics):
         self.lost_service_cycles += lost_service_cycles
 
     # -- aggregation -------------------------------------------------------
-    def _time_weighted_spread(self) -> float:
-        """Time-weighted mean of the per-instant utilization spread."""
-        if len(self.fleet_samples) < 2:
-            return (self.fleet_samples[0].utilization_spread
-                    if self.fleet_samples else 0.0)
-        span = self.fleet_samples[-1].cycle - self.fleet_samples[0].cycle
-        if span <= 0:
-            return self.fleet_samples[-1].utilization_spread
-        total = 0.0
-        for current, following in zip(self.fleet_samples,
-                                      self.fleet_samples[1:]):
-            total += current.utilization_spread * (following.cycle
-                                                   - current.cycle)
-        return total / span
+    @property
+    def chips(self) -> int:
+        """Chips in the sampled fleet (0 before the first sample)."""
+        return len(self.chip_utilization)
 
-    def per_chip_time_weighted_utilization(self) -> list[float]:
-        if not self.fleet_samples:
-            return []
-        chips = len(self.fleet_samples[0].utilization)
-        if len(self.fleet_samples) < 2:
-            return [round(u, 6) for u in self.fleet_samples[0].utilization]
-        span = self.fleet_samples[-1].cycle - self.fleet_samples[0].cycle
-        if span <= 0:
-            return [round(u, 6) for u in self.fleet_samples[-1].utilization]
-        totals = [0.0] * chips
-        for current, following in zip(self.fleet_samples,
-                                      self.fleet_samples[1:]):
-            weight = following.cycle - current.cycle
-            for index in range(chips):
-                totals[index] += current.utilization[index] * weight
-        return [round(total / span, 6) for total in totals]
+    def _over_span(self, area: float, last: float) -> float:
+        """0.0 before any sample; the last value when the samples span
+        no time (one sample, or all at one cycle)."""
+        if self.first_cycle is None:
+            return 0.0
+        span = self.last_cycle - self.first_cycle
+        return area / span if span > 0 else last
+
+    def time_weighted(self, name: str) -> float:
+        """Time-weighted mean of ``utilization``, ``fragmentation`` or
+        ``utilization_spread``: each value weighted by how long it held."""
+        return self._over_span(getattr(self, f"{name}_area"),
+                               getattr(self, name))
 
     def summary(self, frequency_hz: int) -> dict:
-        digest = super().summary(frequency_hz)
-        digest["fleet"] = {
-            "chips": (len(self.fleet_samples[0].utilization)
-                      if self.fleet_samples else 0),
-            "migrations": self.migrations,
-            "migration_cycles": self.migration_cycles,
-            "migration_failures": self.migration_failures,
-            "sessions_migrated": sum(
-                1 for r in self.records if r.migrations > 0),
+        """A JSON-able digest of the run (rounded for stable serialization)."""
+        digest = _digest([self], self.records,
+                         self.time_weighted("utilization"),
+                         self.time_weighted("fragmentation"), frequency_hz)
+        digest["fleet"].update({
             "utilization_spread_time_weighted": round(
-                self._time_weighted_spread(), 6),
-            "per_chip_utilization_time_weighted":
-                self.per_chip_time_weighted_utilization(),
-        }
-        if self.faults_enabled:
-            digest["faults"] = {
-                "chip_failures": self.chip_failures,
-                "chip_recoveries": self.chip_recoveries,
-                "evacuation_cycles": self.evacuation_cycles,
-                "evacuations": self.evacuations,
-                "killed_sessions": self.killed_sessions,
-                "lost_service_cycles": self.lost_service_cycles,
-            }
+                self.time_weighted("utilization_spread"), 6),
+            "per_chip_utilization_time_weighted": [
+                round(self._over_span(area, last), 6)
+                for area, last in zip(self.chip_utilization_area,
+                                      self.chip_utilization)],
+        })
         return digest
+
+
+def _digest(parts: "list[FleetMetrics]", records: "list[SessionRecord]",
+            utilization: float, fragmentation: float,
+            frequency_hz: int) -> dict:
+    """The digest fields one run and a merge of shard runs share.
+
+    ``records`` are the (possibly merged) session records; counters are
+    summed and maxima taken over ``parts``; ``utilization`` and
+    ``fragmentation`` are the already-aggregated time-weighted means.
+    """
+    makespan = max((p.last_cycle for p in parts), default=0)
+    seconds = makespan / frequency_hz if makespan else 0.0
+    delays = [r.queue_delay_cycles for r in records]
+    digest = {
+        "sessions_completed": len(records),
+        "sessions_per_second": round(
+            len(records) / seconds if seconds else 0.0, 6),
+        "makespan_cycles": makespan,
+        "queue_delay_cycles": {
+            "mean": round(sum(delays) / len(delays) if delays else 0.0, 3),
+            "p50": percentile(delays, 50),
+            "p95": percentile(delays, 95),
+            "max": float(max(delays)) if delays else 0.0,
+        },
+        "utilization_time_weighted": round(utilization, 6),
+        "fragmentation": {
+            "time_weighted_mean": round(fragmentation, 6),
+            "max": round(max((p.fragmentation_max for p in parts),
+                             default=0.0), 6),
+        },
+        "queue_length_max": max((p.queue_length_max for p in parts),
+                                default=0),
+        "admission_failures": sum(p.admission_failures for p in parts),
+        "sessions_rejected": sum(p.rejected for p in parts),
+        "slo": {
+            "classes": SLOMetrics.from_records(records, seconds).digest(),
+            "grows": sum(p.grows for p in parts),
+            "preemptions": sum(p.preemptions for p in parts),
+            "resize_cycles": sum(p.resize_cycles for p in parts),
+            "shrinks": sum(p.shrinks for p in parts),
+        },
+        "fleet": {
+            "chips": sum(p.chips for p in parts),
+            "migrations": sum(p.migrations for p in parts),
+            "migration_cycles": sum(p.migration_cycles for p in parts),
+            "migration_failures": sum(p.migration_failures for p in parts),
+            "sessions_migrated": sum(1 for r in records if r.migrations > 0),
+        },
+    }
+    if any(p.faults_enabled for p in parts):
+        digest["faults"] = {
+            "chip_failures": sum(p.chip_failures for p in parts),
+            "chip_recoveries": sum(p.chip_recoveries for p in parts),
+            "evacuation_cycles": sum(p.evacuation_cycles for p in parts),
+            "evacuations": sum(p.evacuations for p in parts),
+            "killed_sessions": sum(p.killed_sessions for p in parts),
+            "lost_service_cycles": sum(p.lost_service_cycles
+                                       for p in parts),
+        }
+    return digest
 
 
 def merge_fleet_summaries(parts: "list[FleetMetrics]",
@@ -451,82 +439,30 @@ def merge_fleet_summaries(parts: "list[FleetMetrics]",
         records.extend(replace(r, chip=offset + r.chip)
                        for r in part.records)
     records.sort(key=lambda r: (r.depart_cycle, r.session_id))
-    makespan = max((p.samples[-1].cycle for p in parts if p.samples),
-                   default=0)
-    seconds = makespan / frequency_hz if makespan else 0.0
-    delays = [r.queue_delay_cycles for r in records]
     total_cores = sum(core_counts) or 1
 
-    def core_weighted(values: "list[float]") -> float:
-        return sum(v * c for v, c in zip(values, core_counts)) / total_cores
+    def core_weighted(name: str) -> float:
+        return sum(p.time_weighted(name) * c
+                   for p, c in zip(parts, core_counts)) / total_cores
 
-    digest = {
-        "sessions_completed": len(records),
-        "sessions_per_second": round(
-            len(records) / seconds if seconds else 0.0, 6),
-        "makespan_cycles": makespan,
-        "queue_delay_cycles": {
-            "mean": round(sum(delays) / len(delays) if delays else 0.0, 3),
-            "p50": percentile(delays, 50),
-            "p95": percentile(delays, 95),
-            "max": float(max(delays)) if delays else 0.0,
-        },
-        "utilization_time_weighted": round(core_weighted(
-            [p._time_weighted_mean("utilization") for p in parts]), 6),
-        "fragmentation": {
-            "time_weighted_mean": round(core_weighted(
-                [p._time_weighted_mean("fragmentation") for p in parts]), 6),
-            "max": round(max((s.fragmentation for p in parts
-                              for s in p.samples), default=0.0), 6),
-        },
-        "queue_length_max": max((s.queue_length for p in parts
-                                 for s in p.samples), default=0),
-        "admission_failures": sum(p.admission_failures for p in parts),
-        "sessions_rejected": sum(p.rejected for p in parts),
-        "slo": {
-            "classes": SLOMetrics.from_records(records, seconds).digest(),
-            "grows": sum(p.grows for p in parts),
-            "preemptions": sum(p.preemptions for p in parts),
-            "resize_cycles": sum(p.resize_cycles for p in parts),
-            "shrinks": sum(p.shrinks for p in parts),
-        },
-        "fleet": {
-            "chips": sum((len(p.fleet_samples[0].utilization)
-                          if p.fleet_samples else 0) for p in parts),
-            "migrations": sum(p.migrations for p in parts),
-            "migration_cycles": sum(p.migration_cycles for p in parts),
-            "migration_failures": sum(p.migration_failures for p in parts),
-            "sessions_migrated": sum(1 for r in records if r.migrations > 0),
-        },
-        "sharding": {
-            "shards": len(parts),
-            "per_shard": [
-                {
-                    "chips": (len(p.fleet_samples[0].utilization)
-                              if p.fleet_samples else 0),
-                    "sessions_completed": len(p.records),
-                    "makespan_cycles": (p.samples[-1].cycle
-                                        if p.samples else 0),
-                    "utilization_time_weighted": round(
-                        p._time_weighted_mean("utilization"), 6),
-                    "fragmentation_time_weighted": round(
-                        p._time_weighted_mean("fragmentation"), 6),
-                    "migrations": p.migrations,
-                }
-                for p in parts
-            ],
-        },
+    digest = _digest(parts, records, core_weighted("utilization"),
+                     core_weighted("fragmentation"), frequency_hz)
+    digest["sharding"] = {
+        "shards": len(parts),
+        "per_shard": [
+            {
+                "chips": p.chips,
+                "sessions_completed": len(p.records),
+                "makespan_cycles": p.last_cycle,
+                "utilization_time_weighted": round(
+                    p.time_weighted("utilization"), 6),
+                "fragmentation_time_weighted": round(
+                    p.time_weighted("fragmentation"), 6),
+                "migrations": p.migrations,
+            }
+            for p in parts
+        ],
     }
-    if any(p.faults_enabled for p in parts):
-        digest["faults"] = {
-            "chip_failures": sum(p.chip_failures for p in parts),
-            "chip_recoveries": sum(p.chip_recoveries for p in parts),
-            "evacuation_cycles": sum(p.evacuation_cycles for p in parts),
-            "evacuations": sum(p.evacuations for p in parts),
-            "killed_sessions": sum(p.killed_sessions for p in parts),
-            "lost_service_cycles": sum(p.lost_service_cycles
-                                       for p in parts),
-        }
     if recovery is not None:
         digest["recovery"] = dict(recovery)
     return digest

@@ -277,9 +277,9 @@ class EpochPlan:
 #: The append-only :class:`~repro.serving.metrics.FleetMetrics` lists —
 #: the only checkpoint state that grows over a run, and therefore the
 #: only part delta checkpoints ship incrementally. Everything else in a
-#: fence snapshot (chip residents, queues, actives, counters, the cost
-#: cache) is O(live state).
-_METRIC_LOGS = ("records", "samples", "fleet_samples", "fault_log")
+#: fence snapshot (chip residents, queues, actives, counters and folded
+#: time-weighted integrals, the cost cache) is O(live state).
+_METRIC_LOGS = ("records", "fault_log")
 
 
 class ShardSlice:
@@ -320,11 +320,12 @@ class ShardSlice:
         metrics history already shipped in this slice's previous
         checkpoint: the only checkpoint state that grows over a run is
         the append-only :class:`~repro.serving.metrics.FleetMetrics`
-        lists (:data:`_METRIC_LOGS`), so a full blob every fence costs
-        O(history) — quadratic over the run — while the delta stays
-        O(one epoch's activity). The blob's ``base`` entry records the
-        already-shipped list lengths; the coordinator splices the tail
-        onto its stored ring state (:meth:`ShardedFleetScheduler._stash`).
+        records and fault log (:data:`_METRIC_LOGS`), so a full blob
+        every fence costs O(history) — quadratic over the run — while
+        the delta stays O(one epoch's departures). The blob's ``base``
+        entry records the already-shipped list lengths; the coordinator
+        splices the tail onto its stored ring state
+        (:meth:`ShardedFleetScheduler._stash`).
         The first checkpoint (nothing shipped yet) is always full.
         """
         fleet_state = self.fleet.snapshot(detach=False)

@@ -5,8 +5,9 @@ schedulers being pure functions of their trace — these tests enforce
 that at tier-1 instead of leaving it to the CI bench smoke. Each case
 replays the same seeded trace twice *in-process* (fresh simulator and
 chips each time, but shared registries, mapping caches warm in the
-second run) and requires the full ``SessionRecord`` and sample streams
-to be equal, not just the rounded summaries.
+second run) and requires the full ``SessionRecord`` stream and the
+whole metrics object — counters and unrounded time-weighted integrals
+— to be equal, not just the rounded summaries.
 """
 
 from repro.arch.chip import Chip
@@ -40,10 +41,7 @@ def run_fleet(placement, defrag):
 
 
 def assert_identical(first, second):
-    assert first.records == second.records
-    assert first.samples == second.samples
-    assert first.admission_failures == second.admission_failures
-    assert first.rejected == second.rejected
+    assert first == second
     assert first.summary(FREQUENCY) == second.summary(FREQUENCY)
 
 
@@ -60,7 +58,6 @@ class TestFleetSchedulerDeterminism:
         first = run_fleet("least_loaded", DefragPolicy(0.1))
         second = run_fleet("least_loaded", DefragPolicy(0.1))
         assert_identical(first, second)
-        assert first.fleet_samples == second.fleet_samples
         assert first.migrations == second.migrations
         assert first.migration_cycles == second.migration_cycles
         # The fragmentation-heavy trace must actually exercise migration,
@@ -75,4 +72,3 @@ class TestFleetSchedulerDeterminism:
         first = run_fleet("power_of_two", DefragPolicy(0.3))
         second = run_fleet("power_of_two", DefragPolicy(0.3))
         assert_identical(first, second)
-        assert first.fleet_samples == second.fleet_samples

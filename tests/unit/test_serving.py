@@ -17,6 +17,7 @@ from repro.core.vnpu import VNpuSpec
 from repro.errors import ConfigError, HypervisorError, ServingError
 from repro.serving import (
     ClusterScheduler,
+    FleetScheduler,
     PendingSession,
     TenantSession,
     generate_trace,
@@ -194,6 +195,13 @@ class TestMetricsHelpers:
         assert percentile(values, 95) == 95.0
         assert percentile([], 95) == 0.0
 
+    @pytest.mark.parametrize("pct", [-1, 100.5, 150])
+    def test_percentile_validates_pct_before_empty_check(self, pct):
+        with pytest.raises(ValueError, match="percentile must be in"):
+            percentile([], pct)
+        with pytest.raises(ValueError, match="percentile must be in"):
+            percentile([1, 2, 3], pct)
+
     def test_fragmentation_ratio(self):
         mesh = Topology.mesh2d(2, 2)
         assert fragmentation_ratio(mesh, set()) == 0.0
@@ -298,10 +306,18 @@ class TestClusterScheduler:
         with pytest.raises(ServingError):
             scheduler.submit([session(rows=6, cols=6)])
 
-    def test_shared_hypervisor_serves_around_squatter(self):
+    def test_shared_hypervisor_serves_around_squatter(self, monkeypatch):
         """The scheduler adopts a hypervisor that already hosts a vNPU it
         did not admit: the trace is served on the remaining cores and
         the squatter is never touched."""
+        free_at_samples = []
+        sample = FleetScheduler._sample
+
+        def spy(fleet):
+            free_at_samples.append(fleet.free_core_count())
+            sample(fleet)
+
+        monkeypatch.setattr(FleetScheduler, "_sample", spy)
         chip = Chip(sim_config(16))
         hv = Hypervisor(chip)
         squatter = hv.create_vnpu(VNpuSpec("squatter", MeshShape(2, 2),
@@ -315,7 +331,8 @@ class TestClusterScheduler:
         assert metrics.rejected == 0
         assert hv.vnpus == [squatter]
         assert hv.vnpu(squatter.vmid).physical_cores == cores
-        assert all(s.free_cores <= 12 for s in metrics.samples)
+        assert free_at_samples
+        assert all(free <= 12 for free in free_at_samples)
 
     def test_queue_delay_zero_on_idle_chip(self):
         scheduler, _ = self.make()

@@ -428,8 +428,7 @@ class TestSlotHygiene:
         sim.run()
 
     def test_serving_objects_have_no_dict(self):
-        from repro.serving.metrics import (ClusterSample, FleetSample,
-                                           SessionRecord)
+        from repro.serving.metrics import SessionRecord
         from repro.serving.fleet import ActiveFleetSession, PendingSession
         from repro.serving.slo import session_slo
         from repro.serving.workload import TenantSession
@@ -443,12 +442,6 @@ class TestSlotHygiene:
             strategy="exact", mapping_distance=0.0, mapping_connected=True,
             slo=session_slo(session), rows=2, cols=2,
             service_total=100, expected_depart=105))
-        self._assert_dictless(ClusterSample(
-            cycle=0, free_cores=12, utilization=0.5, fragmentation=0.0,
-            queue_length=1))
-        self._assert_dictless(FleetSample(
-            cycle=0, queue_length=1, free_cores=(12,),
-            utilization=(0.5,), fragmentation=(0.0,)))
         self._assert_dictless(SessionRecord(
             session_id=0, tenant="t0", model="bert", cores=4,
             arrival_cycle=0, admit_cycle=5, depart_cycle=105,

@@ -13,13 +13,17 @@ import pickle
 
 import pytest
 
-from repro.errors import HypervisorError
+from repro.arch.config import sim_config
+from repro.errors import HypervisorError, ServingError
 from repro.serving import (
     DEFAULT_SLO_MIX,
+    ControlPlane,
     FleetScheduler,
+    ShardSlice,
     generate_failure_schedule,
     generate_fleet_trace,
 )
+from repro.serving.fleet import SNAPSHOT_FORMAT
 
 
 def fleet_trace(seed=11, sessions=40, chips=4):
@@ -130,3 +134,50 @@ class TestContinuedRunEquivalence:
         restored = FleetScheduler.restore(state, cost_model="cached")
         assert (restored.cost_model.cache_stats()
                 == fleet.cost_model.cache_stats())
+
+
+class TestSnapshotFormat:
+    """A snapshot of another pickled shape fails loudly at restore."""
+
+    @staticmethod
+    def paused_fleet():
+        fleet = FleetScheduler.homogeneous(2, cores=16)
+        fleet.submit(fleet_trace(sessions=10, chips=2))
+        fleet.run(until=5_000_000)
+        return fleet
+
+    @staticmethod
+    def make_stale(state, stale):
+        if stale is None:
+            del state["format"]
+        else:
+            state["format"] = stale
+
+    def test_snapshot_records_the_format(self):
+        assert self.paused_fleet().snapshot()["format"] == SNAPSHOT_FORMAT
+
+    @pytest.mark.parametrize("stale", [None, SNAPSHOT_FORMAT + 1])
+    def test_missing_or_bumped_format_is_rejected(self, stale):
+        state = self.paused_fleet().snapshot()
+        self.make_stale(state, stale)
+        with pytest.raises(ServingError, match="snapshot format") as error:
+            FleetScheduler.restore(state)
+        assert repr(stale) in str(error.value)
+        assert f"format {SNAPSHOT_FORMAT}" in str(error.value)
+
+    def test_shard_checkpoint_with_stale_format_is_rejected(self):
+        slice_ = ShardSlice(0, [sim_config(16), sim_config(16)])
+        slice_.run_epoch(5_000_000, None)
+        payload = pickle.loads(slice_.checkpoint())
+        self.make_stale(payload["fleet"], None)
+        with pytest.raises(ServingError, match="snapshot format"):
+            ShardSlice.from_checkpoint(pickle.dumps(payload), shard_id=0)
+
+    def test_service_snapshot_with_stale_format_is_rejected(self, tmp_path):
+        plane = ControlPlane(chips=2, cores=16, autostart=False)
+        payload = plane.snapshot_payload()
+        self.make_stale(payload["state"], SNAPSHOT_FORMAT + 1)
+        path = tmp_path / "stale.snapshot.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ServingError, match="snapshot format"):
+            ControlPlane.restore(str(path), autostart=False)
