@@ -79,7 +79,14 @@ def _largest_pow2_at_most(value: int) -> int:
 
 
 class Hypervisor:
-    """Manages all virtual NPUs of one chip."""
+    """Manages all virtual NPUs of one chip.
+
+    Occupancy is one record, replaced only in ``_provision`` (after the
+    vNPU is committed) and ``_teardown``: the immutable ``frozenset``
+    behind ``allocated_cores`` plus an ``occupancy_version`` bumped on
+    every change. Reads are O(1), and derived state (the fleet's
+    fragmentation memo) keys on the version.
+    """
 
     def __init__(self, chip: Chip, strategy: str = "similar",
                  costs: EditCosts | None = None,
@@ -93,6 +100,9 @@ class Hypervisor:
         capacity = _largest_pow2_at_most(chip.config.memory.capacity_bytes)
         self.buddy = BuddyAllocator(capacity=capacity, min_block=min_block)
         self._vnpus: dict[int, VirtualNPU] = {}
+        self._allocated: frozenset[int] = frozenset()
+        #: Bumped whenever ``allocated_cores`` changes.
+        self.occupancy_version = 0
         self._next_vmid = 1
         self._healthy = True
 
@@ -108,17 +118,15 @@ class Hypervisor:
             raise HypervisorError(f"no vNPU with VMID {vmid}") from None
 
     @property
-    def allocated_cores(self) -> set[int]:
-        cores: set[int] = set()
-        for vnpu in self._vnpus.values():
-            cores.update(vnpu.physical_cores)
-        return cores
+    def allocated_cores(self) -> frozenset[int]:
+        """Cores held by any resident: the O(1) occupancy record."""
+        return self._allocated
 
     def core_utilization(self) -> float:
-        return len(self.allocated_cores) / self.chip.core_count
+        return len(self._allocated) / self.chip.core_count
 
     def free_core_count(self) -> int:
-        return self.chip.core_count - len(self.allocated_cores)
+        return self.chip.core_count - len(self._allocated)
 
     @property
     def healthy(self) -> bool:
@@ -368,9 +376,10 @@ class Hypervisor:
             setup_cycles=setup_cycles,
         )
         self._vnpus[vmid] = vnpu
-        # Keep the mapper's incremental free-set view in sync (only after
-        # the provision is fully committed — failures above leave the
-        # tracked set untouched).
+        # Keep the occupancy record and the mapper's incremental free-set
+        # view in sync (only after the provision is fully committed —
+        # failures above leave both untouched).
+        self._set_allocated(self._allocated.union(mapping.physical_cores))
         self.mapper.notify_alloc(mapping.physical_cores)
         if fresh_vmid:
             self._next_vmid += 1
@@ -386,7 +395,12 @@ class Hypervisor:
             spad.reset_weight_zone()
         self.chip.controller.remove_routing_table(vnpu.vmid, hyper_mode=True)
         del self._vnpus[vnpu.vmid]
+        self._set_allocated(self._allocated.difference(vnpu.physical_cores))
         self.mapper.notify_free(vnpu.physical_cores)
+
+    def _set_allocated(self, cores: frozenset[int]) -> None:
+        self._allocated = cores
+        self.occupancy_version += 1
 
     def _migration_cycles(self, resident_bytes: int,
                           destination: "Hypervisor",

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.arch.chip import Chip
 from repro.arch.config import SoCConfig, sim_config
@@ -68,6 +68,7 @@ from repro.serving.slo import (
     ElasticVictim,
     SLOClass,
     coerce_elastic,
+    effective_priority,
     make_victim,
     reprice,
     resize_memory_bytes,
@@ -82,7 +83,7 @@ from repro.sim import Simulator
 SNAPSHOT_FORMAT = 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PendingSession:
     """A queued arrival; ``blocked`` marks a failed placement attempt.
 
@@ -90,6 +91,12 @@ class PendingSession:
     free-core set (re-trying the same placement against the same free set
     would fail identically). ``preemptions`` counts how many times this
     session was elastically evicted back into the queue.
+
+    Entries compare by identity (``eq=False``): the queue holds each
+    entry once, and ``list.remove``/``in`` must find *that* object, not
+    a field-equal twin. ``slo`` and ``priority_key`` are derived from
+    the session once at construction, so admission never re-resolves
+    the SLO registry per queued entry per decision.
     """
 
     session: TenantSession
@@ -115,6 +122,17 @@ class PendingSession:
     #: cycle — each one's migrations unblock the other, whose failed
     #: placement migrates again. Cleared with ``relief_exhausted``.
     defrag_exhausted: bool = False
+    #: The session's SLO class (:func:`~repro.serving.slo.session_slo`).
+    slo: SLOClass = field(init=False)
+    #: What :class:`~repro.serving.policies.PriorityPolicy` ranks by:
+    #: highest effective priority first, then arrival order.
+    priority_key: tuple[int, int, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        session = self.session
+        self.slo = session_slo(session)
+        self.priority_key = (-effective_priority(session),
+                             session.arrival_cycle, session.session_id)
 
 
 def requeue_in_arrival_order(pending: "list[PendingSession]",
@@ -151,6 +169,9 @@ class FleetChip:
     index: int
     chip: Chip
     hypervisor: Hypervisor
+    #: ``(occupancy_version, ratio)`` of the last fragmentation read.
+    _fragmentation_memo: tuple[int, float] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def healthy(self) -> bool:
@@ -168,8 +189,15 @@ class FleetChip:
         return self.hypervisor.core_utilization()
 
     def fragmentation(self) -> float:
-        return fragmentation_ratio(self.chip.topology,
-                                   self.hypervisor.allocated_cores)
+        """Fragmentation ratio of the free set, memoized per occupancy
+        version: a chip whose residents did not change is not re-walked."""
+        version = self.hypervisor.occupancy_version
+        memo = self._fragmentation_memo
+        if memo is None or memo[0] != version:
+            memo = (version, fragmentation_ratio(
+                self.chip.topology, self.hypervisor.allocated_cores))
+            self._fragmentation_memo = memo
+        return memo[1]
 
 
 # -- cross-chip placement policies -----------------------------------------
@@ -893,7 +921,7 @@ class FleetScheduler:
                 strategy=vnpu.mapping.strategy,
                 mapping_distance=vnpu.mapping.distance,
                 mapping_connected=vnpu.mapping.connected,
-                slo=session_slo(session),
+                slo=entry.slo,
                 rows=session.rows,
                 cols=session.cols,
                 service_total=service,
@@ -953,23 +981,10 @@ class FleetScheduler:
         """
         if self.elastic is None:
             return False
-        most_free = max(
-            (fc.free_cores() for fc in self.chips if fc.healthy),
-            default=0)
-        now = self.sim.now
-        candidates = sorted(
-            (e for e in self._pending
-             if not e.relief_exhausted
-             and (e.blocked or e.session.core_count > most_free)
-             and session_slo(e.session).relief_due(
-                 now - e.session.arrival_cycle)),
-            key=lambda e: (-session_slo(e.session).tier,
-                           e.session.arrival_cycle, e.session.session_id),
-        )
-        if not candidates:
+        entry = self._relief_entry()
+        if entry is None:
             return False
-        entry = candidates[0]
-        tier = session_slo(entry.session).tier
+        tier = entry.slo.tier
         for fleet_chip in sorted(
                 (fc for fc in self.chips if fc.healthy),
                 key=lambda fc: (-fc.free_cores(), fc.index)):
@@ -997,6 +1012,22 @@ class FleetScheduler:
                 entry.relief_exhausted = True
             return True
         return False
+
+    def _relief_entry(self) -> PendingSession | None:
+        """The neediest pending entry relief is due for: highest tier
+        first, then arrival order (``None`` when nobody qualifies)."""
+        most_free = max(
+            (fc.free_cores() for fc in self.chips if fc.healthy),
+            default=0)
+        now = self.sim.now
+        return min(
+            (e for e in self._pending
+             if not e.relief_exhausted
+             and (e.blocked or e.session.core_count > most_free)
+             and e.slo.relief_due(now - e.session.arrival_cycle)),
+            key=lambda e: (-e.slo.tier,
+                           e.session.arrival_cycle, e.session.session_id),
+            default=None)
 
     def _victims(self, fleet_chip: FleetChip,
                  below_tier: int) -> list[ElasticVictim]:

@@ -14,11 +14,11 @@ disciplines without touching the scheduler.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.registry import Registry
 from repro.errors import ServingError
-from repro.serving.slo import effective_priority
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.serving.fleet import PendingSession
@@ -98,7 +98,8 @@ class PriorityPolicy:
 
     Sessions carrying an explicit SLO class rank by its tier
     (:func:`~repro.serving.slo.effective_priority`); legacy sessions
-    rank by their raw ``priority`` value as always.
+    rank by their raw ``priority`` value as always. The key is
+    precomputed once per entry as ``PendingSession.priority_key``.
     """
 
     name = "priority"
@@ -108,10 +109,7 @@ class PriorityPolicy:
         # skipped unconditionally), so one O(n) min beats sorting the
         # whole queue on every admit-loop iteration.
         top = min((e for e in pending if not e.blocked),
-                  key=lambda e: (-effective_priority(e.session),
-                                 e.session.arrival_cycle,
-                                 e.session.session_id),
-                  default=None)
+                  key=attrgetter("priority_key"), default=None)
         if top is not None and top.session.core_count <= free_cores:
             return top
         return None  # the top-priority waiter must go first
