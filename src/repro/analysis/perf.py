@@ -191,15 +191,18 @@ def replay(corpus: MappingCorpus, fast_path: bool) -> ReplayResult:
     for real mapping work — the replay measures the mapper, not its
     memo. ``alloc``/``free`` events drive ``notify_alloc``/``notify_free``
     so the fast path's incremental free-set maintenance is on the
-    measured path.
+    measured path. The mappers share one shape-memo object, as the
+    chips of one type in a fleet do.
     """
     rows, cols = mesh_dims(corpus.cores_per_chip)
     chip_topology = Topology.mesh2d(rows, cols)
     pinned = set(core for core in PINNED_CORES
                  if core < corpus.cores_per_chip)
-    mappers = [TopologyMapper(chip_topology, cache_size=0,
-                              fast_path=fast_path)
-               for _ in range(corpus.chips)]
+    mappers: list[TopologyMapper] = []
+    for _ in range(corpus.chips):
+        mappers.append(TopologyMapper(
+            chip_topology, cache_size=0, fast_path=fast_path,
+            memos=mappers[0].memos if mappers else None))
     for mapper in mappers:
         mapper.reset_free_tracking(set(pinned))
     requests: dict[tuple[int, int], Topology] = {}

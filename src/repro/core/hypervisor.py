@@ -47,7 +47,11 @@ from repro.core.routing_table import (
     StandardRoutingTable,
 )
 from repro.core.strategies import MappingStrategy, resolve_strategy
-from repro.core.topology_mapping import MappingResult, TopologyMapper
+from repro.core.topology_mapping import (
+    MappingResult,
+    ShapeMemos,
+    TopologyMapper,
+)
 from repro.core.vchunk import AccessCounter, RangeTranslator, RTT_ENTRY_BITS
 from repro.core.vnpu import VirtualNPU, VNpuSpec
 from repro.core.vrouter import NocVRouter
@@ -91,11 +95,15 @@ class Hypervisor:
     def __init__(self, chip: Chip, strategy: str = "similar",
                  costs: EditCosts | None = None,
                  rtt_tlb_entries: int = 4,
-                 min_block: int = 1 << 20) -> None:
+                 min_block: int = 1 << 20,
+                 memos: ShapeMemos | None = None) -> None:
         resolve_strategy(strategy)  # fail fast on unknown names
         self.chip = chip
         self.strategy = strategy
-        self.mapper = TopologyMapper(chip.topology, costs=costs)
+        # ``memos``: the mapper memos of an equal chip type to share
+        # (see TopologyMapper); None keeps them private.
+        self.mapper = TopologyMapper(chip.topology, costs=costs,
+                                     memos=memos)
         self.rtt_tlb_entries = rtt_tlb_entries
         capacity = _largest_pow2_at_most(chip.config.memory.capacity_bytes)
         self.buddy = BuddyAllocator(capacity=capacity, min_block=min_block)

@@ -27,11 +27,14 @@ reference implementation for equivalence checks and perf regressions):
 - *incremental free sets* — ``notify_alloc``/``notify_free`` deltas keep
   one free :class:`Topology` up to date instead of rebuilding it per
   call, with a secondary one-slot cache for ad-hoc allocated sets;
-- *memoized candidate machinery* — connected-subset enumerations keyed
-  by (free set, k); induced subtopologies, WL certificates and all-pairs
-  hop tables keyed by ``frozenset(nodes)`` (the chip-level table is
-  computed once and reused verbatim for convex mesh-block candidates,
-  where the subgraph metric collapses to the chip metric);
+- *shape-canonical memos* — WL certificates, lower bounds, Hungarian
+  scores and 2-opt polish results are keyed by the candidate's
+  **shape**, not its node set, and live in one :class:`ShapeMemos` per
+  chip type (see below), next to the connected-subset enumerations
+  keyed by (free set, k). Induced subtopologies and hop tables are only
+  built on a memo miss (the chip-level hop table is computed once and
+  reused verbatim for convex mesh-block candidates, where the subgraph
+  metric collapses to the chip metric);
 - *lower-bound screening* — candidates are visited cheapest
   :func:`~repro.core.ged.bijection_lower_bound` first and pruned once
   the bound exceeds the incumbent's exact score (``cache_stats`` exposes
@@ -52,6 +55,27 @@ reference implementation for equivalence checks and perf regressions):
 Both paths return identical ``(distance, vmap)`` results; the
 equivalence is enforced by property tests and the
 ``bench_mapping_perf`` determinism harness.
+
+**Shape keys.** On a full row-major mesh (``node == row * cols + col``,
+every edge a grid step — every ``SoCConfig`` chip) a candidate's key is
+its sorted node ids relative to ``base``, the id of its bounding-box
+corner ``(r0, c0)`` (a bijective encoding of ``(row - r0, col - c0)``),
+plus the relative positions of attribute-tagged cores. Translation
+shifts every id by the same offset, so it preserves the induced
+subgraph, node order, sorted BFS neighbours and enumeration-index
+tie-breaks: a certificate, bound or score found for one translate holds
+for all of them, and stored vmaps are relative (``p - base``),
+translated back on a hit. The one catch is the zig-zag polish seed,
+which flips direction on odd rows, so polish keys also carry
+``r0 % 2``. On any other chip the key degrades to ``frozenset(nodes)``
+with base 0 through the same code path.
+
+**Sharing.** A standalone mapper owns a private :class:`ShapeMemos`.
+``FleetScheduler`` hands one to every hypervisor built from an equal
+``SoCConfig``, so a shape priced on one chip is free on its siblings.
+Sharing requires equal chips, enumeration limits and the default
+:class:`~repro.core.ged.EditCosts`; every memo stays LRU-bounded by
+``memo_size`` and every counter stays per mapper.
 """
 
 from __future__ import annotations
@@ -106,33 +130,109 @@ def enumerate_connected_subsets(topology: Topology, k: int,
     if k < 1:
         raise TopologyError(f"subset size must be >= 1, got {k}")
     results: list[frozenset[int]] = []
-    nodes = topology.nodes
+    adj = topology._adj
 
     def extend(subgraph: set[int], extension: set[int], root: int) -> bool:
         if len(subgraph) == k:
             results.append(frozenset(subgraph))
             return limit is not None and len(results) >= limit
         candidates = sorted(extension)
-        for node in candidates:
-            remaining = {c for c in candidates if c > node}
+        for index, node in enumerate(candidates):
             # ESU exclusive neighborhood: neighbors of `node` greater than
             # root that are neither in the subgraph nor adjacent to it.
-            exclusive = set()
-            for nbr in topology.neighbors(node):
-                if nbr <= root or nbr in subgraph:
-                    continue
-                if any(nbr in topology.neighbors(s) for s in subgraph):
-                    continue
-                exclusive.add(nbr)
-            if extend(subgraph | {node}, remaining | exclusive, root):
+            exclusive = {nbr for nbr in adj[node]
+                         if nbr > root and nbr not in subgraph
+                         and adj[nbr].isdisjoint(subgraph)}
+            if extend(subgraph | {node},
+                      exclusive.union(candidates[index + 1:]), root):
                 return True
         return False
 
-    for root in nodes:
-        extension = {nbr for nbr in topology.neighbors(root) if nbr > root}
+    for root in topology.nodes:
+        extension = {nbr for nbr in adj[root] if nbr > root}
         if extend({root}, extension, root):
             break
     return results
+
+
+class ShapeMemos:
+    """Fast-path memos of one chip type, keyed by canonical candidate shape.
+
+    Holds the (free set, k) subset enumerations and the shape-keyed
+    certificate, lower-bound, Hungarian-score and polish memos (see the
+    module docstring), each LRU-bounded by ``memo_size``. ``identity``
+    names what a mapper must match to share the object: ``None`` for
+    custom edit costs, which never share.
+    """
+
+    def __init__(self, chip: Topology, memo_size: int,
+                 identity: tuple | None) -> None:
+        self.memo_size = memo_size
+        self.identity = identity
+        self.subsets: OrderedDict[tuple, list] = OrderedDict()
+        self.certs: OrderedDict = OrderedDict()
+        self.bounds: OrderedDict[tuple, float] = OrderedDict()
+        self.scores: OrderedDict[tuple, tuple] = OrderedDict()
+        self.polished: OrderedDict[tuple, tuple] = OrderedDict()
+        # Row-major width when shape keys are translation-canonical,
+        # else 0 (node-set keys).
+        self._cols = self._row_major_cols(chip)
+        self._attrs = dict(chip.node_attrs)
+
+    @staticmethod
+    def _row_major_cols(chip: Topology) -> int:
+        """Column count of a chip that is exactly ``Topology.mesh2d``
+        (row-major ids, grid-step edges), else 0."""
+        if not chip.coords:
+            return 0
+        rows = max(r for r, _ in chip.coords.values()) + 1
+        cols = max(c for _, c in chip.coords.values()) + 1
+        grid = Topology.mesh2d(rows, cols)
+        if chip.coords == grid.coords and chip.edges == grid.edges:
+            return cols
+        return 0
+
+    def shape(self, nodes: frozenset[int]) -> tuple[object, int]:
+        """``(key, base)`` of a candidate node set."""
+        cols = self._cols
+        if not cols:
+            return nodes, 0
+        ordered = sorted(nodes)
+        base = ordered[0] // cols * cols + min(n % cols for n in ordered)
+        attrs = self._attrs
+        return ((tuple(n - base for n in ordered),
+                 tuple((n - base, attrs[n]) for n in ordered if n in attrs)),
+                base)
+
+    def row_parity(self, base: int) -> int:
+        """``r0 % 2`` of a candidate's corner (0 for node-set keys)."""
+        return base // self._cols % 2 if self._cols else 0
+
+    def lookup(self, memo: OrderedDict, key, build):
+        """LRU-bounded get-or-build."""
+        hit = memo.get(key)
+        if hit is not None:
+            memo.move_to_end(key)
+            return hit
+        value = build()
+        memo[key] = value
+        while len(memo) > self.memo_size:
+            memo.popitem(last=False)
+        return value
+
+
+@dataclass(slots=True)
+class _Candidate:
+    """One connected free subset, its shape key and (lazily) topology."""
+
+    nodes: frozenset[int]
+    shape: object
+    base: int
+    topology: Topology | None = None
+
+
+def _translated(mapping: dict[int, int], offset: int) -> dict[int, int]:
+    return {v: p + offset for v, p in mapping.items()}
 
 
 class TopologyMapper:
@@ -144,7 +244,8 @@ class TopologyMapper:
                  esu_max_request: int = 9,
                  cache_size: int = 512,
                  fast_path: bool = True,
-                 memo_size: int = 4096) -> None:
+                 memo_size: int = 16_384,
+                 memos: ShapeMemos | None = None) -> None:
         self.chip = chip_topology
         self.costs = costs or EditCosts()
         self.candidate_limit = candidate_limit
@@ -183,9 +284,6 @@ class TopologyMapper:
                               self.costs.edge_insert)
             )
         )
-        #: Bound on each frozenset-keyed memo (certificates, induced
-        #: subtopologies, hop tables, subset enumerations).
-        self.memo_size = memo_size
         # Chip-level lookups hoisted out of _mesh_placements (they are
         # pure functions of the chip): coordinate index, grid extents and
         # the boustrophedon walk of the full chip.
@@ -205,17 +303,21 @@ class TopologyMapper:
         self._chip_is_mesh = (bool(chip_topology.coords)
                               and chip_topology.mesh_shape() is not None)
         self._chip_hops: dict[int, dict[int, int]] | None = None
-        # Fast-path memos (all LRU-bounded by memo_size). Score and polish
-        # are keyed by (request structure, candidate node set): the same
-        # candidate regions recur across calls even when the surrounding
-        # free set differs, which is where churn actually repeats itself.
-        self._cert_memo: OrderedDict[frozenset, str] = OrderedDict()
-        self._subtopo_memo: OrderedDict[frozenset, Topology] = OrderedDict()
-        self._hops_memo: OrderedDict[frozenset, dict] = OrderedDict()
-        self._subset_memo: OrderedDict[tuple, list] = OrderedDict()
-        self._score_memo: OrderedDict[tuple, tuple] = OrderedDict()
-        self._polish_memo: OrderedDict[tuple, tuple] = OrderedDict()
-        self._bound_memo: OrderedDict[tuple, float] = OrderedDict()
+        #: Fast-path memos, each LRU-bounded by ``memo_size``: private
+        #: unless a ``ShapeMemos`` of an equal chip type is passed in to
+        #: share. One object can serve a whole fleet's chips of a type,
+        #: and a 36-core best-fit fleet prices ~9k distinct shapes, so
+        #: the bound sits above that.
+        identity = ((self._request_key(chip_topology), candidate_limit,
+                     esu_max_request)
+                    if self.costs == EditCosts() else None)
+        if memos is None:
+            memos = ShapeMemos(chip_topology, memo_size, identity)
+        elif identity is None or memos.identity != identity:
+            raise TopologyError(
+                "shape memos are shared only between mappers of equal "
+                "chips and enumeration limits under the default edit costs")
+        self.memos = memos
         # Incremental free-set maintenance: the tracked allocated set is
         # kept in sync by notify_alloc/notify_free (wired through the
         # hypervisor), and the matching free Topology is updated with
@@ -277,18 +379,6 @@ class TopologyMapper:
             "free_rebuilds": self.free_rebuilds,
             "free_updates": self.free_updates,
         }
-
-    def _memoized(self, memo: OrderedDict, key, build):
-        """LRU-bounded memo shared by the frozenset-keyed fast-path caches."""
-        hit = memo.get(key)
-        if hit is not None:
-            memo.move_to_end(key)
-            return hit
-        value = build()
-        memo[key] = value
-        while len(memo) > self.memo_size:
-            memo.popitem(last=False)
-        return value
 
     # -- incremental free-set maintenance ------------------------------------
     def notify_alloc(self, cores) -> None:
@@ -460,32 +550,40 @@ class TopologyMapper:
             return self._compact_sets(free, k)
         if not self.fast_path:
             return build()
-        return self._memoized(self._subset_memo,
-                              (frozenset(free.nodes), k), build)
+        memos = self.memos
+        return memos.lookup(memos.subsets, (frozenset(free.nodes), k), build)
 
-    def _induced(self, free: Topology, nodes: frozenset[int]) -> Topology:
-        """Candidate subtopology; memoized by node set on the fast path.
+    def _topology(self, candidate: _Candidate) -> Topology:
+        """The candidate's induced subtopology, built on first use.
 
         A subset of the free cores induces the same subgraph from the
-        chip as from the free topology, so the memo survives free-set
-        churn.
+        chip as from the free topology.
+        """
+        if candidate.topology is None:
+            candidate.topology = self.chip.subtopology(candidate.nodes)
+        return candidate.topology
+
+    def _certified(self, free: Topology, subsets: list[frozenset[int]]):
+        """Yield ``(candidate, WL certificate)`` over ``subsets`` (connected
+        subsets of ``free``) in enumeration order.
+
+        The fast path looks certificates up by shape and builds a
+        subtopology only on a miss; the reference path builds and
+        certifies every candidate.
         """
         if not self.fast_path:
-            return free.subtopology(nodes)
-        return self._memoized(self._subtopo_memo, frozenset(nodes),
-                              lambda: self.chip.subtopology(nodes))
-
-    def _certificate(self, candidate: Topology) -> str:
-        """WL certificate, memoized by node set on the fast path."""
-        if not self.fast_path:
-            return candidate.wl_certificate()
-        return self._memoized(self._cert_memo, frozenset(candidate.nodes),
-                              candidate.wl_certificate)
-
-    def _candidate_pool(self, request: Topology, free: Topology) -> tuple[list[Topology], int]:
-        """Connected candidates of the right size plus a considered count."""
-        subsets = self._candidate_sets(free, request.node_count)
-        return [self._induced(free, s) for s in subsets], len(subsets)
+            for nodes in subsets:
+                topology = free.subtopology(nodes)
+                yield (_Candidate(nodes, nodes, 0, topology),
+                       topology.wl_certificate())
+            return
+        memos = self.memos
+        for nodes in subsets:
+            shape, base = memos.shape(nodes)
+            candidate = _Candidate(nodes, shape, base)
+            yield candidate, memos.lookup(
+                memos.certs, shape,
+                lambda: self._topology(candidate).wl_certificate())
 
     # -- strategies -----------------------------------------------------------
     def map_exact(self, request: Topology,
@@ -498,13 +596,14 @@ class TopologyMapper:
                 strategy="exact", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
             )
-        considered = 0
         request_cert = request.wl_certificate()
-        candidates, considered = self._candidate_pool(request, free)
-        for candidate in candidates:
-            if self._certificate(candidate) != request_cert:
+        subsets = self._candidate_sets(free, request.node_count)
+        considered = len(subsets)
+        for candidate, cert in self._certified(free, subsets):
+            if cert != request_cert:
                 continue
-            mapping = self._isomorphism_mapping(request, candidate)
+            mapping = self._isomorphism_mapping(request,
+                                                self._topology(candidate))
             if mapping is not None:
                 return MappingResult(
                     strategy="exact", vmap=mapping, distance=0.0,
@@ -566,21 +665,21 @@ class TopologyMapper:
     def _map_similar_uncached(self, request: Topology, free: Topology,
                               allocated: set[int],
                               require_connected: bool) -> MappingResult:
-        request_cert = request.wl_certificate()
-
         for vmap in self._mesh_placements(request, free):
             return MappingResult(  # Algorithm 1 line 22: early exact return
                 strategy="similar", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
             )
 
-        pool, considered = self._candidate_pool(request, free)
-        candidates: list[Topology] = []
+        request_cert = request.wl_certificate()
+        subsets = self._candidate_sets(free, request.node_count)
+        considered = len(subsets)
+        candidates: list[_Candidate] = []
         seen_certs: set[str] = set()
-        for candidate in pool:
-            cert = self._certificate(candidate)
+        for candidate, cert in self._certified(free, subsets):
             if cert == request_cert:
-                mapping = self._isomorphism_mapping(request, candidate)
+                mapping = self._isomorphism_mapping(
+                    request, self._topology(candidate))
                 if mapping is not None:  # Algorithm 1 line 22: early return
                     return MappingResult(
                         strategy="similar", vmap=mapping, distance=0.0,
@@ -600,45 +699,58 @@ class TopologyMapper:
 
         if self.fast_path:
             request_key = self._request_key(request)
-            candidate, mapping = self._select_screened(request_key, request,
-                                                       candidates)
-            seed = mapping
-            distance, polished = self._memoized(
-                self._polish_memo, (request_key, frozenset(candidate.nodes)),
-                lambda: self._polish(request, candidate, seed))
-            mapping = dict(polished)
+            candidate, seed = self._select_screened(request_key, request,
+                                                    candidates)
+            base = candidate.base
+            memos = self.memos
+            distance, polished = memos.lookup(
+                memos.polished,
+                (request_key, candidate.shape, memos.row_parity(base)),
+                lambda: self._relative(self._polish(
+                    request, self._topology(candidate), seed), base))
+            mapping = _translated(polished, base)
         else:
             best: tuple[float, Topology, dict[int, int]] | None = None
             for candidate in candidates:  # line 30-32 (serial here)
-                distance, mapping = best_bijection(request, candidate,
+                distance, mapping = best_bijection(request,
+                                                   candidate.topology,
                                                    self.costs,
                                                    vectorize=False)
                 if best is None or distance < best[0]:
-                    best = (distance, candidate, mapping)
-            _distance, candidate, mapping = best
-            distance, mapping = self._polish(request, candidate, mapping)
+                    best = (distance, candidate.topology, mapping)
+            _distance, topology, mapping = best
+            distance, mapping = self._polish(request, topology, mapping)
         return MappingResult(
             strategy="similar", vmap=mapping, distance=distance,
             connected=True, candidates_considered=considered,
         )
 
+    @staticmethod
+    def _relative(scored: tuple[float, dict[int, int]],
+                  base: int) -> tuple[float, dict[int, int]]:
+        """A ``(distance, vmap)`` pair with the vmap stored as ``p - base``."""
+        distance, mapping = scored
+        return distance, _translated(mapping, -base)
+
     def _scored(self, request_key: tuple, request: Topology,
-                candidate: Topology) -> tuple[float, dict[int, int]]:
-        """Hungarian score + mapping, memoized per (request, candidate).
+                candidate: _Candidate) -> tuple[float, dict[int, int]]:
+        """Hungarian score + mapping, memoized per (request, shape).
 
         The fast path builds the Hungarian reward matrix with numpy
         broadcasting (bit-identical to the scalar loop, so the
         assignment — and hence the mapping — cannot drift).
         """
-        distance, mapping = self._memoized(
-            self._score_memo, (request_key, frozenset(candidate.nodes)),
-            lambda: best_bijection(request, candidate, self.costs,
-                                   vectorize=True))
-        return distance, dict(mapping)
+        memos = self.memos
+        distance, mapping = memos.lookup(
+            memos.scores, (request_key, candidate.shape),
+            lambda: self._relative(best_bijection(
+                request, self._topology(candidate), self.costs,
+                vectorize=True), candidate.base))
+        return distance, _translated(mapping, candidate.base)
 
     def _select_screened(self, request_key: tuple, request: Topology,
-                         candidates: list[Topology]
-                         ) -> tuple[Topology, dict[int, int]]:
+                         candidates: list[_Candidate]
+                         ) -> tuple[_Candidate, dict[int, int]]:
         """R-2 argmin with admissible lower-bound pruning (fast path).
 
         Candidates are visited cheapest bound first; once the bound (and,
@@ -649,11 +761,13 @@ class TopologyMapper:
         several equal-distance candidates wins.
         """
         self.candidates_considered += len(candidates)
+        memos = self.memos
         bounds = [
-            self._memoized(
-                self._bound_memo, (request_key, frozenset(candidate.nodes)),
+            memos.lookup(
+                memos.bounds, (request_key, candidate.shape),
                 lambda candidate=candidate: bijection_lower_bound(
-                    request, candidate, self.costs, vectorize=True))
+                    request, self._topology(candidate), self.costs,
+                    vectorize=True))
             for candidate in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (bounds[i], i))
@@ -783,7 +897,7 @@ class TopologyMapper:
         return self._chip_hops
 
     def _candidate_hops(self, candidate: Topology) -> dict[int, dict[int, int]]:
-        """Per-candidate all-pairs hops, memoized by ``frozenset(nodes)``.
+        """Per-candidate all-pairs hops (built once per polish miss).
 
         The chip table is always a lower bound on a subgraph's hop count
         (paths may leave the candidate). For convex candidates — a
@@ -793,16 +907,11 @@ class TopologyMapper:
         """
         if not self.fast_path:
             return self._all_pairs_hops(candidate)
-
-        def build():
-            if self._chip_is_mesh and candidate.mesh_shape() is not None:
-                chip_hops = self.chip_hops
-                nodes = candidate.nodes
-                return {u: {v: chip_hops[u][v] for v in nodes}
-                        for u in nodes}
-            return self._all_pairs_hops_vectorized(candidate)
-        return self._memoized(self._hops_memo, frozenset(candidate.nodes),
-                              build)
+        if self._chip_is_mesh and candidate.mesh_shape() is not None:
+            chip_hops = self.chip_hops
+            nodes = candidate.nodes
+            return {u: {v: chip_hops[u][v] for v in nodes} for u in nodes}
+        return self._all_pairs_hops_vectorized(candidate)
 
     #: Weight of edge *stretch* (extra hops of a request edge on the
     #: physical fabric) relative to one edit operation. This realizes the

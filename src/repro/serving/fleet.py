@@ -48,6 +48,7 @@ from repro.arch.topology import Topology
 from repro.core.hypervisor import Hypervisor
 from repro.core.registry import Registry
 from repro.core.strategies import resolve_strategy
+from repro.core.topology_mapping import ShapeMemos
 from repro.core.vnpu import VNpuSpec
 from repro.cost import CostModel, coerce_cost_model
 from repro.errors import AllocationError, ServingError
@@ -235,8 +236,10 @@ class BestFitPlacement(PlacementPolicy):
     Probes each candidate chip with the similar-topology mapper; a chip
     whose probe finds no connected placement is excluded (the real
     placement would fail the same way). Probe results are pure functions
-    of (request structure, free-core set), so the per-chip mapping cache
-    absorbs the repeat probes churn produces. The probe inherits the
+    of (request structure, free-core set), so each chip's result cache
+    absorbs the repeat probes churn produces, and the shape memos its
+    mapper shares with every chip of its type make a shape priced on
+    one chip cheap to probe on the others. The probe inherits the
     mapper's candidate-enumeration cost: on large chips (36+ cores) with
     heavily shattered free sets, ranking pays Algorithm 1's worst case
     per chip — prefer ``least_loaded`` for big-chip fleets where probe
@@ -464,6 +467,9 @@ class FleetScheduler:
         if not configs:
             raise ServingError("fleet needs at least one chip config")
         self.sim = sim or Simulator()
+        #: One mapper memo object per distinct chip config, shared by
+        #: every hypervisor built from that config.
+        self._shape_memos: dict[SoCConfig, ShapeMemos] = {}
         self.chips: list[FleetChip] = [
             self._build_chip(index, config)
             for index, config in enumerate(configs)]
@@ -499,7 +505,9 @@ class FleetScheduler:
         """Build fleet chip ``index`` (with its hypervisor) on the shared
         clock."""
         chip = Chip(config, sim=self.sim)
-        return FleetChip(index, chip, Hypervisor(chip))
+        hypervisor = Hypervisor(chip, memos=self._shape_memos.get(config))
+        self._shape_memos.setdefault(config, hypervisor.mapper.memos)
+        return FleetChip(index, chip, hypervisor)
 
     @classmethod
     def homogeneous(cls, chips: int, cores: int = 36,

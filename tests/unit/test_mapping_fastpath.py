@@ -446,3 +446,234 @@ class TestHopTableIdentity:
         for topology in (empty, single):
             assert (TopologyMapper._all_pairs_hops_vectorized(topology)
                     == TopologyMapper._all_pairs_hops(topology))
+
+
+# -- shape-canonical memos ---------------------------------------------------
+
+def tagged_mesh(rows=6, cols=6):
+    """A row-major mesh tagged ``mem`` in column 0, like a SoCConfig chip."""
+    chip = Topology.mesh2d(rows, cols)
+    for row in range(rows):
+        chip.node_attrs[row * cols] = "mem"
+    return chip
+
+
+def polyomino(rng, size, box=4):
+    """A random connected set of ``size`` cells inside a ``box`` square."""
+    cells = {(rng.randrange(box), rng.randrange(box))}
+    while len(cells) < size:
+        frontier = sorted(
+            (r + dr, c + dc) for r, c in cells
+            for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
+            if 0 <= r + dr < box and 0 <= c + dc < box
+            and (r + dr, c + dc) not in cells)
+        cells.add(rng.choice(frontier))
+    return cells
+
+
+def window(chip, cells, offset):
+    """Allocated set leaving exactly ``cells`` shifted by ``offset`` free."""
+    by_coord = {coord: node for node, coord in chip.coords.items()}
+    dr, dc = offset
+    free = {by_coord[(r + dr, c + dc)] for r, c in cells}
+    return set(chip.nodes) - free
+
+
+def assert_matches_reference(fast, request, allocated, costs=None):
+    """Compare a warm fast mapper with a fresh reference mapper."""
+    reference = TopologyMapper(fast.chip, costs=costs, cache_size=0,
+                               fast_path=False)
+    fast_result = call(fast, request, allocated)
+    ref_result = call(reference, request, allocated)
+    assert (fast_result is None) == (ref_result is None)
+    if fast_result is not None:
+        assert ((fast_result.distance, fast_result.vmap, fast_result.strategy)
+                == (ref_result.distance, ref_result.vmap,
+                    ref_result.strategy))
+    return fast_result
+
+
+def tagged_request(rows, cols):
+    request = Topology.mesh2d(rows, cols)
+    request.node_attrs[0] = "mem"
+    return request
+
+
+#: Even and odd row offsets (zig-zag parity), and column 0 (tagged cores).
+OFFSETS = ((0, 1), (2, 2), (1, 1), (0, 0), (2, 0), (1, 2))
+TRANSLATE_REQUESTS = (
+    Topology.mesh2d(2, 3), Topology.mesh2d(1, 4), tagged_request(2, 2),
+    Topology.ring(5), Topology.mesh2d(2, 4), Topology.mesh2d(3, 3),
+)
+
+
+class TestTranslateIdentity:
+    """One warm fast mapper fed translated occupancies returns exactly
+    what a fresh ``fast_path=False`` mapper returns for each of them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), size=st.integers(5, 11))
+    def test_translated_free_sets(self, seed, size):
+        rng = random.Random(seed)
+        chip = tagged_mesh()
+        cells = polyomino(rng, size)
+        fast = TopologyMapper(chip, cache_size=0)
+        for request in TRANSLATE_REQUESTS:
+            if request.node_count > size:
+                continue
+            for offset in OFFSETS:
+                assert_matches_reference(fast, request,
+                                         window(chip, cells, offset))
+
+    def test_repeat_translate_reuses_memos(self):
+        """A same-parity translate re-prices nothing; an odd-row one
+        re-polishes (the zig-zag seed flips) but reuses the rest."""
+        chip = tagged_mesh()
+        # A U shape: no 2x3 block fits and its candidates are non-convex
+        # (the polish takes BFS hops, not chip hops).
+        cells = {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)}
+        request = Topology.mesh2d(2, 3)
+        fast = TopologyMapper(chip, cache_size=0)
+        first = assert_matches_reference(fast, request,
+                                         window(chip, cells, (0, 1)))
+        assert first.distance > 0
+        memos = fast.memos
+        sizes = {name: len(getattr(memos, name))
+                 for name in ("certs", "bounds", "scores", "polished")}
+        evaluations = fast.objective_evaluations
+        second = assert_matches_reference(fast, request,
+                                          window(chip, cells, (2, 2)))
+        assert second.vmap == {v: p + 2 * 6 + 1
+                               for v, p in first.vmap.items()}
+        assert fast.objective_evaluations == evaluations
+        for name, size in sizes.items():
+            assert len(getattr(memos, name)) == size
+        assert_matches_reference(fast, request, window(chip, cells, (1, 1)))
+        assert len(memos.polished) == sizes["polished"] + 1
+        assert len(memos.certs) == sizes["certs"]
+        assert fast.objective_evaluations > evaluations
+
+    def test_odd_row_translate_is_not_a_polish_hit(self):
+        """The zig-zag seed flips on odd rows: reusing an even-row
+        polish for this odd-row translate would return a worse vmap."""
+        chip = tagged_mesh()
+        cells = {(1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1),
+                 (3, 3)}
+        fast = TopologyMapper(chip, cache_size=0)
+        for offset in ((0, 1), (1, 1)):
+            assert_matches_reference(fast, Topology.mesh2d(2, 4),
+                                     window(chip, cells, offset))
+
+    def test_relabelled_mesh_takes_node_set_keys(self):
+        """A mesh whose ids are not row-major cannot use translation;
+        shapes fall back to node sets and results stay exact."""
+        rng = random.Random(4)
+        mesh = tagged_mesh(5, 5)
+        order = mesh.nodes
+        rng.shuffle(order)
+        chip = mesh.relabel(dict(zip(mesh.nodes, order)))
+        fast = TopologyMapper(chip, cache_size=0)
+        nodes = frozenset(chip.nodes[:3])
+        assert fast.memos.shape(nodes) == (nodes, 0)
+        cells = polyomino(rng, 9)
+        for request in TRANSLATE_REQUESTS:
+            for offset in ((0, 0), (1, 1), (0, 1)):
+                assert_matches_reference(fast, request,
+                                         window(chip, cells, offset))
+
+    def test_non_dyadic_costs_match_and_never_share(self):
+        costs = EditCosts(
+            node_substitute=lambda a, b: 0.0 if a == b else 0.3,
+            edge_delete=lambda t, u, v: 0.1,
+            edge_insert=0.1,
+        )
+        chip = tagged_mesh()
+        fast = TopologyMapper(chip, costs=costs, cache_size=0)
+        cells = polyomino(random.Random(9), 10)
+        for request in TRANSLATE_REQUESTS:
+            for offset in OFFSETS:
+                assert_matches_reference(fast, request,
+                                         window(chip, cells, offset),
+                                         costs=costs)
+        default = TopologyMapper(chip)
+        with pytest.raises(TopologyError):
+            TopologyMapper(chip, costs=costs, memos=default.memos)
+        with pytest.raises(TopologyError):
+            TopologyMapper(chip, memos=fast.memos)
+
+    def test_sharing_requires_equal_chips_and_limits(self):
+        shared = TopologyMapper(tagged_mesh()).memos
+        assert TopologyMapper(tagged_mesh(), memos=shared).memos is shared
+        with pytest.raises(TopologyError):
+            TopologyMapper(Topology.mesh2d(6, 6), memos=shared)
+        with pytest.raises(TopologyError):
+            TopologyMapper(tagged_mesh(), esu_max_request=5, memos=shared)
+
+
+MEMO_NAMES = ("subsets", "certs", "bounds", "scores", "polished")
+
+
+class TestSharedMemos:
+    def test_equal_configs_share_one_object(self):
+        from repro.serving import FleetScheduler
+        fleet = FleetScheduler.homogeneous(3, cores=16)
+        memos = {id(fc.hypervisor.mapper.memos) for fc in fleet.chips}
+        assert len(memos) == 1
+
+    def test_one_object_per_distinct_config(self):
+        from repro.serving import FleetScheduler
+        fleet = FleetScheduler([sim_config(36), sim_config(16),
+                                sim_config(36)])
+        objects = [fc.hypervisor.mapper.memos for fc in fleet.chips]
+        assert objects[0] is objects[2]
+        assert objects[0] is not objects[1]
+        assert len({id(memos) for memos in objects}) == 2
+
+    def test_standalone_hypervisors_keep_private_memos(self):
+        first = Hypervisor(Chip(sim_config(16)))
+        second = Hypervisor(Chip(sim_config(16)))
+        assert first.mapper.memos is not second.mapper.memos
+
+    def test_shared_memos_stay_bounded(self):
+        rng = random.Random(2)
+        chip = tagged_mesh()
+        owner = TopologyMapper(chip, cache_size=0, memo_size=8)
+        sibling = TopologyMapper(chip, cache_size=0, memos=owner.memos)
+        for _ in range(30):
+            mapper = rng.choice((owner, sibling))
+            assert_matches_reference(
+                mapper, rng.choice(TRANSLATE_REQUESTS),
+                set(rng.sample(chip.nodes, 14)))
+        for name in MEMO_NAMES:
+            assert len(getattr(owner.memos, name)) <= 8
+
+    def test_churny_serve_bounded_and_unchanged(self):
+        """Shrinking the shared memos mid-fleet evicts constantly yet
+        changes no result, and no memo outgrows its bound."""
+        from repro.serving import FleetScheduler, generate_fleet_trace
+        trace = generate_fleet_trace(5, 60, chips=4, max_cores=16,
+                                     fragmentation_heavy=True)
+        baseline = FleetScheduler.homogeneous(4, cores=16,
+                                              placement="best_fit")
+        frequency = sim_config(16).frequency_hz
+        expected = baseline.serve(trace).summary(frequency)
+        fleet = FleetScheduler.homogeneous(4, cores=16, placement="best_fit")
+        memos = fleet.chips[0].hypervisor.mapper.memos
+        memos.memo_size = 16
+        assert fleet.serve(trace).summary(frequency) == expected
+        assert len(memos.certs) == 16  # the bound was reached
+        for name in MEMO_NAMES:
+            assert len(getattr(memos, name)) <= 16
+
+    def test_sharded_mapper_stats_independent_of_workers(self):
+        from repro.serving import ShardedFleetScheduler, generate_fleet_trace
+        trace = generate_fleet_trace(7, 40, chips=4, max_cores=16,
+                                     fragmentation_heavy=True)
+        stats = []
+        for workers in (1, 2):
+            fleet = ShardedFleetScheduler.homogeneous(
+                4, cores=16, shards=2, workers=workers)
+            fleet.serve(trace)
+            stats.append(fleet.mapper_stats())
+        assert stats[0] == stats[1]
+        assert stats[0]["objective_evaluations"] > 0
