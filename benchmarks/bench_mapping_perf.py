@@ -2,17 +2,17 @@
 """Mapping fast-path benchmark: fast vs reference mapper on a pinned
 fleet-churn corpus.
 
-Replays the :mod:`repro.analysis.perf` corpus — best-fit probe churn
-from a fragmentation-heavy fleet trace — through the similarity mapper
-twice (fast path on / reference implementation) and emits two
-artifacts, mirroring the ``BENCH_cost`` split:
+Replays the ``mapping_oracle`` corpus (``tests/unit/mapping_oracle.py``)
+— best-fit probe churn from a fragmentation-heavy fleet trace — through
+``TopologyMapper`` and through the oracle's ``ReferenceMapper``, and
+emits two artifacts, mirroring the ``BENCH_cost`` split:
 
 - ``BENCH_mapping_perf.json`` — the *deterministic* digest: corpus
   identity, fast-path operation counters (candidates considered vs
-  pruned vs refined, objective evaluations, free-set rebuilds vs
-  incremental updates), the pruning accounting check, and the
-  output-equality verdict against the reference mapper. Byte-identical
-  across runs (the CI determinism check).
+  pruned vs refined, objective evaluations, free-set memo misses), the
+  pruning accounting check, and the output-equality verdict against
+  the reference mapper. Byte-identical across runs (the CI determinism
+  check).
 - ``BENCH_mapping_perf_timing.json`` — wall-clock seconds per
   implementation and the speedup. Host timing is inherently
   non-reproducible, so it lives outside the determinism-checked
@@ -24,7 +24,8 @@ those are correctness regressions, not noise.
 
 Run:  PYTHONPATH=src python benchmarks/bench_mapping_perf.py [--quick]
       (or plainly ``python benchmarks/bench_mapping_perf.py`` — the
-      script bootstraps ``src`` onto ``sys.path`` itself)
+      script bootstraps ``src`` and ``tests/unit`` onto ``sys.path``
+      itself)
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ import sys
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parent.parent
-for _entry in (str(_ROOT), str(_ROOT / "src")):
+for _entry in (str(_ROOT), str(_ROOT / "src"), str(_ROOT / "tests" / "unit")):
     if _entry not in sys.path:
         sys.path.insert(0, _entry)
 
 from benchmarks.common import Table, write_bench_json  # noqa: E402
-from repro.analysis.perf import run_mapping_perf  # noqa: E402
+from mapping_oracle import run_mapping_perf  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     table.add("objective evals (reference)",
               deterministic["reference"]["objective_evaluations"])
     table.add("free-set rebuilds (fast)", fast["free_rebuilds"])
-    table.add("free-set incremental updates", fast["free_updates"])
     table.add("wall fast (s)", timing["fast_seconds"])
     table.add("wall reference (s)", timing["reference_seconds"])
     table.add("speedup", f"{timing['speedup']}x")

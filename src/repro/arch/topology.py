@@ -14,7 +14,6 @@ Core IDs are 0-based everywhere in this library (the paper's figures use
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -197,48 +196,6 @@ class Topology:
             node_set, edges, coords=coords, node_attrs=attrs,
             name=name or f"{self.name}[{len(node_set)}]",
         )
-
-    # -- incremental mutation (mapper free-set maintenance) ------------------
-    def _discard_node(self, node: int) -> None:
-        """In-place node removal (edges, coords, attrs follow).
-
-        Internal: exists so the topology mapper can maintain its free-set
-        view as O(degree) deltas instead of rebuilding the induced
-        subgraph per allocation. General code should treat Topology as
-        immutable and use :meth:`subtopology`.
-        """
-        neighbors = self._adj.pop(node, None)
-        if neighbors is None:
-            return
-        for nbr in neighbors:
-            self._adj[nbr].discard(node)
-        index = bisect_left(self._nodes, node)
-        if index < len(self._nodes) and self._nodes[index] == node:
-            del self._nodes[index]
-        self.coords.pop(node, None)
-        self.node_attrs.pop(node, None)
-
-    def _restore_node(self, parent: "Topology", node: int) -> None:
-        """In-place re-insertion of ``node`` with ``parent``'s adjacency.
-
-        The inverse of :meth:`_discard_node` for subtopologies of
-        ``parent``: edges to nodes currently present, plus coords and
-        attrs, are copied back from the parent.
-        """
-        if node in self._adj:
-            return
-        if node not in parent._adj:
-            raise TopologyError(f"unknown node {node} in {parent.name}")
-        neighbors = {n for n in parent._adj[node] if n in self._adj}
-        self._adj[node] = neighbors
-        for nbr in neighbors:
-            self._adj[nbr].add(node)
-        insort(self._nodes, node)
-        if parent.coords:
-            self.coords[node] = parent.coords[node]
-        attr = parent.node_attrs.get(node)
-        if attr is not None:
-            self.node_attrs[node] = attr
 
     def hop_distance(self, src: int, dst: int) -> int:
         """BFS hop count between two nodes; raises if unreachable."""

@@ -88,8 +88,9 @@ class Hypervisor:
     Occupancy is one record, replaced only in ``_provision`` (after the
     vNPU is committed) and ``_teardown``: the immutable ``frozenset``
     behind ``allocated_cores`` plus an ``occupancy_version`` bumped on
-    every change. Reads are O(1), and derived state (the fleet's
-    fragmentation memo) keys on the version.
+    every change. Reads are O(1). Derived state keys on it: the fleet's
+    fragmentation memo on the version, the mapper's free-set memo on
+    the frozenset itself.
     """
 
     def __init__(self, chip: Chip, strategy: str = "similar",
@@ -384,11 +385,9 @@ class Hypervisor:
             setup_cycles=setup_cycles,
         )
         self._vnpus[vmid] = vnpu
-        # Keep the occupancy record and the mapper's incremental free-set
-        # view in sync (only after the provision is fully committed —
-        # failures above leave both untouched).
+        # Update the occupancy record only after the provision is fully
+        # committed — failures above leave it untouched.
         self._set_allocated(self._allocated.union(mapping.physical_cores))
-        self.mapper.notify_alloc(mapping.physical_cores)
         if fresh_vmid:
             self._next_vmid += 1
         return vnpu
@@ -404,7 +403,6 @@ class Hypervisor:
         self.chip.controller.remove_routing_table(vnpu.vmid, hyper_mode=True)
         del self._vnpus[vnpu.vmid]
         self._set_allocated(self._allocated.difference(vnpu.physical_cores))
-        self.mapper.notify_free(vnpu.physical_cores)
 
     def _set_allocated(self, cores: frozenset[int]) -> None:
         self._allocated = cores

@@ -20,13 +20,14 @@ Candidate enumeration uses the ESU ("enumerate subgraphs") algorithm,
 which visits every connected ``k``-subset exactly once; a candidate cap
 keeps worst cases bounded (the paper prunes and parallelizes similarly).
 
-Under fleet churn the mapper is the dominant serving cost, so it carries
-a **fast path** (on by default, ``fast_path=False`` retains the
-reference implementation for equivalence checks and perf regressions):
+Under fleet churn the mapper is the dominant serving cost, so it is
+built for speed:
 
-- *incremental free sets* — ``notify_alloc``/``notify_free`` deltas keep
-  one free :class:`Topology` up to date instead of rebuilding it per
-  call, with a secondary one-slot cache for ad-hoc allocated sets;
+- *memoized free sets* — :meth:`TopologyMapper.free_topology` is a pure
+  function of the ``allocated`` set it is given, memoized in a
+  two-entry LRU keyed by ``frozenset(allocated)``. The hypervisor passes
+  its immutable occupancy record, so a repeat lookup costs one cached
+  hash and an identity match; the mapper holds no occupancy of its own;
 - *shape-canonical memos* — WL certificates, lower bounds, Hungarian
   scores and 2-opt polish results are keyed by the candidate's
   **shape**, not its node set, and live in one :class:`ShapeMemos` per
@@ -52,9 +53,12 @@ reference implementation for equivalence checks and perf regressions):
   multi-source matrix-BFS instead of per-node Python BFS. Custom cost
   callables automatically fall back to the scalar loops.
 
-Both paths return identical ``(distance, vmap)`` results; the
-equivalence is enforced by property tests and the
-``bench_mapping_perf`` determinism harness.
+The unoptimized reference implementation of Algorithm 1 lives with the
+tests, as ``ReferenceMapper`` in ``tests/unit/mapping_oracle.py``: fresh
+free-set builds, no memos or screening, a serial Hungarian loop and the
+full-recompute polish over every seed. Property tests and the
+``bench_mapping_perf`` corpus replay hold this mapper to identical
+``(distance, vmap)`` results.
 
 **Shape keys.** On a full row-major mesh (``node == row * cols + col``,
 every edge a grid step — every ``SoCConfig`` chip) a candidate's key is
@@ -80,7 +84,7 @@ Sharing requires equal chips, enumeration limits and the default
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.arch.topology import Topology
@@ -156,7 +160,7 @@ def enumerate_connected_subsets(topology: Topology, k: int,
 
 
 class ShapeMemos:
-    """Fast-path memos of one chip type, keyed by canonical candidate shape.
+    """Mapper memos of one chip type, keyed by canonical candidate shape.
 
     Holds the (free set, k) subset enumerations and the shape-keyed
     certificate, lower-bound, Hungarian-score and polish memos (see the
@@ -243,7 +247,6 @@ class TopologyMapper:
                  candidate_limit: int = 20_000,
                  esu_max_request: int = 9,
                  cache_size: int = 512,
-                 fast_path: bool = True,
                  memo_size: int = 16_384,
                  memos: ShapeMemos | None = None) -> None:
         self.chip = chip_topology
@@ -262,11 +265,6 @@ class TopologyMapper:
         self._similar_cache: OrderedDict[tuple, MappingResult] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        #: ``False`` selects the retained reference implementation: fresh
-        #: free-topology builds, no memoization, no screening, and the
-        #: full-recompute 2-opt. The fast path returns identical
-        #: ``(distance, vmap)`` results (see module docstring).
-        self.fast_path = fast_path
         # Delta-evaluated 2-opt tracks the full recomputation bit-for-bit
         # only when every objective term is a small dyadic rational —
         # default cost callables plus 1/16-granular scalars qualify.
@@ -303,7 +301,7 @@ class TopologyMapper:
         self._chip_is_mesh = (bool(chip_topology.coords)
                               and chip_topology.mesh_shape() is not None)
         self._chip_hops: dict[int, dict[int, int]] | None = None
-        #: Fast-path memos, each LRU-bounded by ``memo_size``: private
+        #: Shape memos, each LRU-bounded by ``memo_size``: private
         #: unless a ``ShapeMemos`` of an equal chip type is passed in to
         #: share. One object can serve a whole fleet's chips of a type,
         #: and a 36-core best-fit fleet prices ~9k distinct shapes, so
@@ -318,23 +316,16 @@ class TopologyMapper:
                 "shape memos are shared only between mappers of equal "
                 "chips and enumeration limits under the default edit costs")
         self.memos = memos
-        # Incremental free-set maintenance: the tracked allocated set is
-        # kept in sync by notify_alloc/notify_free (wired through the
-        # hypervisor), and the matching free Topology is updated with
-        # O(degree) node deltas instead of rebuilt per call. Ad-hoc
-        # allocated sets (trial placements, migrations) get a one-slot
-        # cache keyed by the frozen set.
-        self._tracked_allocated: set[int] = set()
-        self._tracked_free: Topology | None = None
-        self._adhoc_key: frozenset[int] | None = None
-        self._adhoc_free: Topology | None = None
-        # Fast-path operation counters (surfaced via cache_stats()).
+        # Free topologies of the last two allocated sets (see
+        # free_topology): the current occupancy plus one ad-hoc set, as
+        # resize and in-place migration pass.
+        self._free_memo: OrderedDict[frozenset[int], Topology] = OrderedDict()
+        # Operation counters (surfaced via cache_stats()).
         self.candidates_considered = 0
         self.candidates_pruned = 0
         self.candidates_refined = 0
         self.objective_evaluations = 0
         self.free_rebuilds = 0
-        self.free_updates = 0
 
     # -- mapping cache -------------------------------------------------------
     def _request_key(self, request: Topology) -> tuple:
@@ -377,71 +368,32 @@ class TopologyMapper:
             "candidates_refined": self.candidates_refined,
             "objective_evaluations": self.objective_evaluations,
             "free_rebuilds": self.free_rebuilds,
-            "free_updates": self.free_updates,
         }
 
-    # -- incremental free-set maintenance ------------------------------------
-    def notify_alloc(self, cores) -> None:
-        """Record that ``cores`` were just allocated on the chip.
-
-        The hypervisor calls this on every successful provision so the
-        mapper's tracked free set stays in sync; the cached free topology
-        is updated in place with O(degree) node removals.
-        """
-        cores = set(cores)
-        self._tracked_allocated |= cores
-        if self._tracked_free is not None:
-            if self.fast_path:
-                for core in sorted(cores):
-                    self._tracked_free._discard_node(core)
-                self.free_updates += 1
-            else:
-                self._tracked_free = None
-
-    def notify_free(self, cores) -> None:
-        """Record that ``cores`` were just released back to the chip."""
-        cores = set(cores)
-        self._tracked_allocated -= cores
-        if self._tracked_free is not None:
-            if self.fast_path:
-                for core in sorted(cores):
-                    self._tracked_free._restore_node(self.chip, core)
-                self.free_updates += 1
-            else:
-                self._tracked_free = None
-
-    def reset_free_tracking(self, allocated: set[int] | None = None) -> None:
-        """Re-seed the tracked allocated set (e.g. after bulk changes)."""
-        self._tracked_allocated = set(allocated or ())
-        self._tracked_free = None
-
     # -- helpers ------------------------------------------------------------
-    def _build_free(self, allocated: set[int]) -> Topology:
-        self.free_rebuilds += 1
-        free = [n for n in self.chip.nodes if n not in allocated]
-        return self.chip.subtopology(free, name="free")
+    def free_topology(self, allocated: set[int] | frozenset[int]) -> Topology:
+        """The induced topology over the cores not in ``allocated``.
 
-    def free_topology(self, allocated: set[int]) -> Topology:
-        """The induced topology over currently-free cores.
-
-        On the fast path the returned object is a cached view — valid
-        until the next ``notify_alloc``/``notify_free`` — refreshed
-        incrementally when ``allocated`` matches the tracked set and via
-        a one-slot frozenset cache otherwise. The reference path builds
-        a fresh subtopology per call (the seed behavior).
+        A pure function of ``allocated``, memoized in a two-entry LRU
+        keyed by ``frozenset(allocated)`` (``free_rebuilds`` counts the
+        misses). ``frozenset`` of a frozenset is the object itself, and
+        CPython caches its hash, so the hypervisor's occupancy record
+        hits by identity in O(1). The result is shared: treat it as
+        read-only.
         """
-        if not self.fast_path:
-            return self._build_free(allocated)
-        if allocated == self._tracked_allocated:
-            if self._tracked_free is None:
-                self._tracked_free = self._build_free(allocated)
-            return self._tracked_free
         key = frozenset(allocated)
-        if key == self._adhoc_key:
-            return self._adhoc_free
-        self._adhoc_free = self._build_free(allocated)
-        self._adhoc_key = key
-        return self._adhoc_free
+        memo = self._free_memo
+        free = memo.get(key)
+        if free is not None:
+            memo.move_to_end(key)
+            return free
+        self.free_rebuilds += 1
+        free = self.chip.subtopology(
+            [n for n in self.chip.nodes if n not in key], name="free")
+        memo[key] = free
+        if len(memo) > 2:
+            memo.popitem(last=False)
+        return free
 
     def _check_capacity(self, request: Topology, free: Topology) -> None:
         if request.node_count > free.node_count:
@@ -541,15 +493,13 @@ class TopologyMapper:
         return subsets
 
     def _candidate_sets(self, free: Topology, k: int) -> list[frozenset[int]]:
-        """Connected k-subsets of ``free`` (memoized per free set on the
-        fast path — churn revisits the same fragmentation states)."""
+        """Connected k-subsets of ``free`` (memoized per free set — churn
+        revisits the same fragmentation states)."""
         def build():
             if k <= self.esu_max_request:
                 return enumerate_connected_subsets(free, k,
                                                    limit=self.candidate_limit)
             return self._compact_sets(free, k)
-        if not self.fast_path:
-            return build()
         memos = self.memos
         return memos.lookup(memos.subsets, (frozenset(free.nodes), k), build)
 
@@ -567,16 +517,9 @@ class TopologyMapper:
         """Yield ``(candidate, WL certificate)`` over ``subsets`` (connected
         subsets of ``free``) in enumeration order.
 
-        The fast path looks certificates up by shape and builds a
-        subtopology only on a miss; the reference path builds and
-        certifies every candidate.
+        Certificates are looked up by shape; a subtopology is built only
+        on a miss.
         """
-        if not self.fast_path:
-            for nodes in subsets:
-                topology = free.subtopology(nodes)
-                yield (_Candidate(nodes, nodes, 0, topology),
-                       topology.wl_certificate())
-            return
         memos = self.memos
         for nodes in subsets:
             shape, base = memos.shape(nodes)
@@ -697,33 +640,28 @@ class TopologyMapper:
                 )
             return self.map_fragmented(request, allocated)
 
-        if self.fast_path:
-            request_key = self._request_key(request)
-            candidate, seed = self._select_screened(request_key, request,
-                                                    candidates)
-            base = candidate.base
-            memos = self.memos
-            distance, polished = memos.lookup(
-                memos.polished,
-                (request_key, candidate.shape, memos.row_parity(base)),
-                lambda: self._relative(self._polish(
-                    request, self._topology(candidate), seed), base))
-            mapping = _translated(polished, base)
-        else:
-            best: tuple[float, Topology, dict[int, int]] | None = None
-            for candidate in candidates:  # line 30-32 (serial here)
-                distance, mapping = best_bijection(request,
-                                                   candidate.topology,
-                                                   self.costs,
-                                                   vectorize=False)
-                if best is None or distance < best[0]:
-                    best = (distance, candidate.topology, mapping)
-            _distance, topology, mapping = best
-            distance, mapping = self._polish(request, topology, mapping)
+        distance, mapping = self._best_placement(request, candidates)
         return MappingResult(
             strategy="similar", vmap=mapping, distance=distance,
             connected=True, candidates_considered=considered,
         )
+
+    def _best_placement(self, request: Topology,
+                        candidates: list[_Candidate]
+                        ) -> tuple[float, dict[int, int]]:
+        """R-2 argmin over deduplicated candidates (Algorithm 1 lines
+        30-32), then the 2-opt polish, memoized per shape."""
+        request_key = self._request_key(request)
+        candidate, seed = self._select_screened(request_key, request,
+                                                candidates)
+        base = candidate.base
+        memos = self.memos
+        distance, polished = memos.lookup(
+            memos.polished,
+            (request_key, candidate.shape, memos.row_parity(base)),
+            lambda: self._relative(self._polish(
+                request, self._topology(candidate), seed), base))
+        return distance, _translated(polished, base)
 
     @staticmethod
     def _relative(scored: tuple[float, dict[int, int]],
@@ -734,24 +672,18 @@ class TopologyMapper:
 
     def _scored(self, request_key: tuple, request: Topology,
                 candidate: _Candidate) -> tuple[float, dict[int, int]]:
-        """Hungarian score + mapping, memoized per (request, shape).
-
-        The fast path builds the Hungarian reward matrix with numpy
-        broadcasting (bit-identical to the scalar loop, so the
-        assignment — and hence the mapping — cannot drift).
-        """
+        """Hungarian score + mapping, memoized per (request, shape)."""
         memos = self.memos
         distance, mapping = memos.lookup(
             memos.scores, (request_key, candidate.shape),
-            lambda: self._relative(best_bijection(
-                request, self._topology(candidate), self.costs,
-                vectorize=True), candidate.base))
+            lambda: self._relative(self._bijection(
+                request, self._topology(candidate)), candidate.base))
         return distance, _translated(mapping, candidate.base)
 
     def _select_screened(self, request_key: tuple, request: Topology,
                          candidates: list[_Candidate]
                          ) -> tuple[_Candidate, dict[int, int]]:
-        """R-2 argmin with admissible lower-bound pruning (fast path).
+        """R-2 argmin with admissible lower-bound pruning.
 
         Candidates are visited cheapest bound first; once the bound (and,
         on ties, the enumeration index the reference loop breaks ties by)
@@ -783,81 +715,72 @@ class TopologyMapper:
                 best = (distance, index, mapping)
         return candidates[best[1]], best[2]
 
-    def _polish(self, request: Topology, candidate: Topology,
-                hungarian_seed: dict[int, int]) -> tuple[float, dict[int, int]]:
-        """2-opt refinement from the Hungarian seed and a BFS-aligned seed.
+    def _bijection(self, request: Topology,
+                   candidate: Topology) -> tuple[float, dict[int, int]]:
+        """Hungarian ``(distance, mapping)`` with numpy-built matrices
+        (bit-identical to the scalar loop, so the assignment cannot
+        drift)."""
+        return best_bijection(request, candidate, self.costs, vectorize=True)
+
+    def _polish_seeds(self, request: Topology, candidate: Topology,
+                      hungarian_seed: dict[int, int]) -> list[dict[int, int]]:
+        """The 2-opt starting points: the Hungarian seed, a BFS-aligned
+        seed and a snake-aligned seed.
 
         The Hungarian assignment only sees node-local costs; aligning two
-        BFS traversals gives a geometry-aware alternative. The better
-        refined bijection wins. The fast path skips duplicate seeds,
-        evaluates swaps incrementally and stops once a refinement reaches
-        objective zero (nothing can beat an exact, stretch-free mapping).
+        BFS traversals gives a geometry-aware alternative. The snake seed
+        zips the boustrophedon walks of both topologies: dataflow
+        pipelines are laid along the snake walk of the virtual topology
+        (§3.1 programming model), so it keeps the dominant traffic on
+        short physical paths.
         """
-        seeds = [hungarian_seed]
         request_corner = min(request.nodes, key=request.degree)
         candidate_corner = min(candidate.nodes, key=candidate.degree)
-        seeds.append(dict(zip(request.bfs_order(request_corner),
-                              candidate.bfs_order(candidate_corner))))
-        # Snake-aligned seed: boustrophedon walks of both topologies zipped
-        # together. Dataflow pipelines are laid along the snake walk of the
-        # virtual topology (§3.1 programming model), so this seed keeps the
-        # dominant traffic on short physical paths.
-        seeds.append(dict(zip(self._zigzag_order(request),
-                              self._zigzag_order(candidate))))
-        hop = self._candidate_hops(candidate)
-        if self.fast_path:
-            refine = (self._refine_delta if self._delta_exact
-                      else self._stretch_aware_refine)
-            best: tuple[float, dict[int, int]] | None = None
-            seen: set[tuple] = set()
-            for seed in seeds:
-                key = tuple(sorted(seed.items()))
-                if key in seen:
-                    continue
-                seen.add(key)
-                outcome = refine(request, candidate, seed, hop)
-                if best is None or outcome[0] < best[0]:
-                    best = outcome
-                if best[0] <= 1e-12:
-                    break
-            best_mapping = best[1]
-        else:
-            outcomes = [
-                self._stretch_aware_refine(request, candidate, seed, hop)
-                for seed in seeds
-            ]
-            best_mapping = min(outcomes, key=lambda pair: pair[0])[1]
-        distance = induced_edit_cost(request, candidate, dict(best_mapping),
-                                     self.costs)
-        return distance, best_mapping
+        return [
+            hungarian_seed,
+            dict(zip(request.bfs_order(request_corner),
+                     candidate.bfs_order(candidate_corner))),
+            dict(zip(self._zigzag_order(request),
+                     self._zigzag_order(candidate))),
+        ]
 
-    @staticmethod
-    def _all_pairs_hops(topology: Topology) -> dict[int, dict[int, int]]:
-        """Reference hop table: one Python BFS per source node."""
-        hops: dict[int, dict[int, int]] = {}
-        for start in topology.nodes:
-            dist = {start: 0}
-            frontier = deque([start])
-            while frontier:
-                node = frontier.popleft()
-                for nbr in topology.neighbors(node):
-                    if nbr not in dist:
-                        dist[nbr] = dist[node] + 1
-                        frontier.append(nbr)
-            hops[start] = dist
-        return hops
+    def _polish(self, request: Topology, candidate: Topology,
+                hungarian_seed: dict[int, int]) -> tuple[float, dict[int, int]]:
+        """2-opt refinement from every polish seed; the best one wins.
+
+        Duplicate seeds are skipped, swaps are evaluated incrementally
+        and the loop stops once a refinement reaches objective zero
+        (nothing can beat an exact, stretch-free mapping).
+        """
+        hop = self._candidate_hops(candidate)
+        refine = (self._refine_delta if self._delta_exact
+                  else self._stretch_aware_refine)
+        best: tuple[float, dict[int, int]] | None = None
+        seen: set[tuple] = set()
+        for seed in self._polish_seeds(request, candidate, hungarian_seed):
+            key = tuple(sorted(seed.items()))
+            if key in seen:
+                continue
+            seen.add(key)
+            outcome = refine(request, candidate, seed, hop)
+            if best is None or outcome[0] < best[0]:
+                best = outcome
+            if best[0] <= 1e-12:
+                break
+        distance = induced_edit_cost(request, candidate, dict(best[1]),
+                                     self.costs)
+        return distance, best[1]
 
     @staticmethod
     def _all_pairs_hops_vectorized(topology: Topology) -> dict[int, dict[int, int]]:
-        """Hop table via one vectorized multi-source BFS (fast path).
+        """Hop table via one vectorized multi-source BFS.
 
         A boolean frontier matrix (one row per source) is advanced by
         adjacency matmul, levelling every source's BFS in lockstep —
         the per-node Python BFS loop becomes ``O(diameter)`` numpy ops.
-        Hop counts are integers, so the table equals
-        :meth:`_all_pairs_hops` exactly (unreachable pairs are absent
-        from both); only dict insertion order may differ, which no
-        consumer observes.
+        Hop counts are integers, so the table equals a per-node BFS
+        exactly (unreachable pairs are absent); only dict insertion
+        order may differ, which no consumer observes.
         """
         nodes = topology.nodes
         n = len(nodes)
@@ -891,9 +814,7 @@ class TopologyMapper:
     def chip_hops(self) -> dict[int, dict[int, int]]:
         """Chip-level all-pairs hop table, computed once per mapper."""
         if self._chip_hops is None:
-            build = (self._all_pairs_hops_vectorized if self.fast_path
-                     else self._all_pairs_hops)
-            self._chip_hops = build(self.chip)
+            self._chip_hops = self._all_pairs_hops_vectorized(self.chip)
         return self._chip_hops
 
     def _candidate_hops(self, candidate: Topology) -> dict[int, dict[int, int]]:
@@ -905,8 +826,6 @@ class TopologyMapper:
         chip table (computed once) is reused verbatim; everything else
         falls back to a per-candidate BFS.
         """
-        if not self.fast_path:
-            return self._all_pairs_hops(candidate)
         if self._chip_is_mesh and candidate.mesh_shape() is not None:
             chip_hops = self.chip_hops
             nodes = candidate.nodes
@@ -1064,8 +983,7 @@ class TopologyMapper:
             chosen.extend(ordered[:take])
             remaining -= fragment
         candidate = free.subtopology(chosen)
-        distance, mapping = best_bijection(request, candidate, self.costs,
-                                           vectorize=self.fast_path)
+        distance, mapping = self._bijection(request, candidate)
         return MappingResult(
             strategy="fragmented", vmap=mapping, distance=distance,
             connected=self.chip.is_connected(set(chosen)),

@@ -553,7 +553,7 @@ class FleetScheduler:
         Every placement probe and provision lands on some chip's mapper;
         the sum is the fleet's mapping workload: cache hits/misses,
         candidates considered/pruned/refined, objective evaluations and
-        free-set rebuilds vs incremental updates.
+        free-set rebuilds.
         """
         total: dict[str, int | float] = {}
         for fleet_chip in self.chips:

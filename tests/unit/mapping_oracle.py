@@ -1,12 +1,17 @@
-"""Mapper perf-regression harness: the mapping fast path's scoreboard.
+"""Reference similarity mapper and the mapper perf-regression harness.
 
-The similarity mapper is the dominant cost of fleet serving, so its
-performance needs a recorded trajectory. This module pins a **corpus**
-— the exact sequence of mapper invocations a fragmentation-heavy fleet
-trace produces — and replays it against both the fast path and the
-retained reference implementation
-(:class:`~repro.core.topology_mapping.TopologyMapper` with
-``fast_path=False``):
+:class:`ReferenceMapper` is the unoptimized implementation of the
+paper's Algorithm 1, kept as the oracle whose ``(distance, vmap)``
+results :class:`~repro.core.topology_mapping.TopologyMapper` must
+reproduce exactly. It overrides the mapper's few seams with the seed
+behaviour: a fresh free topology per call, no memos, a subtopology and
+certificate per candidate, the serial scalar Hungarian loop, and the
+full-recompute 2-opt over every polish seed with per-candidate
+Python-BFS hop tables.
+
+The harness pins a **corpus** — the exact sequence of mapper
+invocations a fragmentation-heavy fleet trace produces — and replays it
+against both mappers:
 
 1. :func:`record_corpus` emulates best-fit probe churn over N chips
    (every arrival probes every chip that fits; placements and departures
@@ -14,14 +19,18 @@ retained reference implementation
    event list. Service time uses a fixed per-inference proxy so the
    corpus is a pure function of the trace seed — no simulator, no cost
    model, nothing but mapper calls.
-2. :func:`replay` executes the events against fresh mappers (result
-   cache disabled, so every call does real mapping work) and collects
-   outputs, operation counters and wall time.
+2. :func:`replay` executes the ``map`` events against fresh mappers
+   (result cache disabled, so every call does real mapping work) and
+   collects outputs, operation counters and wall time.
 3. :func:`run_mapping_perf` compares the two replays and splits the
    digest the way ``BENCH_cost`` does: a **deterministic** section
    (operation counts, pruning accounting, output equality — byte-stable
    across runs and hosts, gated by CI) and a **timing** section
    (wall-clock seconds and speedup — recorded but never gated).
+
+``benchmarks/bench_mapping_perf.py`` imports this module by putting
+``tests/unit`` on ``sys.path``; pytest does the same for the tests
+beside it.
 """
 
 from __future__ import annotations
@@ -30,12 +39,87 @@ import hashlib
 import heapq
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.arch.topology import Topology
-from repro.core.topology_mapping import TopologyMapper
+from repro.core.ged import best_bijection, induced_edit_cost
+from repro.core.topology_mapping import (
+    TopologyMapper,
+    _Candidate,
+    enumerate_connected_subsets,
+)
 from repro.errors import AllocationError
 from repro.serving.workload import generate_fleet_trace
+
+
+def all_pairs_hops(topology: Topology) -> dict[int, dict[int, int]]:
+    """Reference hop table: one Python BFS per source node."""
+    hops: dict[int, dict[int, int]] = {}
+    for start in topology.nodes:
+        dist = {start: 0}
+        frontier = deque([start])
+        while frontier:
+            node = frontier.popleft()
+            for nbr in topology.neighbors(node):
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    frontier.append(nbr)
+        hops[start] = dist
+    return hops
+
+
+class ReferenceMapper(TopologyMapper):
+    """The seed implementation of Algorithm 1: the mapper's oracle.
+
+    Only ``objective_evaluations`` and ``free_rebuilds`` move; the
+    screening counters stay zero because nothing is screened.
+    """
+
+    def free_topology(self, allocated) -> Topology:
+        self.free_rebuilds += 1
+        return self.chip.subtopology(
+            [n for n in self.chip.nodes if n not in allocated], name="free")
+
+    def _candidate_sets(self, free, k):
+        if k <= self.esu_max_request:
+            return enumerate_connected_subsets(free, k,
+                                               limit=self.candidate_limit)
+        return self._compact_sets(free, k)
+
+    def _certified(self, free, subsets):
+        for nodes in subsets:
+            topology = free.subtopology(nodes)
+            yield (_Candidate(nodes, nodes, 0, topology),
+                   topology.wl_certificate())
+
+    def _bijection(self, request, candidate):
+        return best_bijection(request, candidate, self.costs,
+                              vectorize=False)
+
+    def _best_placement(self, request, candidates):
+        best: tuple[float, Topology, dict[int, int]] | None = None
+        for candidate in candidates:  # Algorithm 1 lines 30-32, serially
+            distance, mapping = self._bijection(request, candidate.topology)
+            if best is None or distance < best[0]:
+                best = (distance, candidate.topology, mapping)
+        _distance, topology, mapping = best
+        return self._polish(request, topology, mapping)
+
+    def _polish(self, request, candidate, hungarian_seed):
+        hop = all_pairs_hops(candidate)
+        outcomes = [
+            self._stretch_aware_refine(request, candidate, seed, hop)
+            for seed in self._polish_seeds(request, candidate,
+                                           hungarian_seed)
+        ]
+        best_mapping = min(outcomes, key=lambda pair: pair[0])[1]
+        distance = induced_edit_cost(request, candidate, dict(best_mapping),
+                                     self.costs)
+        return distance, best_mapping
+
+
+# -- corpus record/replay harness ------------------------------------------
 
 #: Cycles one inference contributes to the corpus's departure proxy.
 #: Together with the trace's inter-arrival gap this pins fleet occupancy
@@ -57,7 +141,6 @@ COUNTER_KEYS = (
     "candidates_refined",
     "objective_evaluations",
     "free_rebuilds",
-    "free_updates",
 )
 
 
@@ -69,7 +152,8 @@ class MappingCorpus:
     allocated)`` for an invocation, ``("alloc", chip, cores)`` /
     ``("free", chip, cores)`` for free-set transitions (``allocated`` and
     ``cores`` are sorted tuples, keeping the corpus hashable and
-    JSON-stable).
+    JSON-stable). Replay needs only the ``map`` events; the transitions
+    document the churn and are part of the corpus digest.
     """
 
     chips: int
@@ -139,8 +223,6 @@ def record_corpus(seed: int = 7, sessions: int = 500, chips: int = 8,
     mappers = [TopologyMapper(chip_topology, cache_size=0)
                for _ in range(chips)]
     allocated: list[set[int]] = [set(pinned) for _ in range(chips)]
-    for mapper in mappers:
-        mapper.reset_free_tracking(set(pinned))
     requests: dict[tuple[int, int], Topology] = {}
     live: list[tuple[int, int, tuple[int, ...]]] = []
     events: list[tuple] = []
@@ -148,7 +230,6 @@ def record_corpus(seed: int = 7, sessions: int = 500, chips: int = 8,
         while live and live[0][0] <= session.arrival_cycle:
             _, index, cores = heapq.heappop(live)
             allocated[index] -= set(cores)
-            mappers[index].notify_free(cores)
             events.append(("free", index, cores))
         shape = (session.rows, session.cols)
         request = requests.get(shape)
@@ -172,7 +253,6 @@ def record_corpus(seed: int = 7, sessions: int = 500, chips: int = 8,
         _, index, result = best
         cores = tuple(result.physical_cores)
         allocated[index] |= set(cores)
-        mappers[index].notify_alloc(cores)
         events.append(("alloc", index, cores))
         heapq.heappush(live, (
             session.arrival_cycle
@@ -184,53 +264,44 @@ def record_corpus(seed: int = 7, sessions: int = 500, chips: int = 8,
                          events=tuple(events))
 
 
-def replay(corpus: MappingCorpus, fast_path: bool) -> ReplayResult:
-    """Execute a corpus against fresh mappers; collect outputs + timing.
+def replay(corpus: MappingCorpus,
+           mapper_type: type[TopologyMapper] = TopologyMapper
+           ) -> ReplayResult:
+    """Execute a corpus's ``map`` events against fresh mappers of
+    ``mapper_type``; collect outputs, counters and timing.
 
     The per-mapper result cache is disabled so every ``map`` event pays
     for real mapping work — the replay measures the mapper, not its
-    memo. ``alloc``/``free`` events drive ``notify_alloc``/``notify_free``
-    so the fast path's incremental free-set maintenance is on the
-    measured path. The mappers share one shape-memo object, as the
-    chips of one type in a fleet do.
+    memo. Each call passes its recorded ``allocated`` set, as the
+    hypervisor passes its occupancy record. The mappers share one
+    shape-memo object, as the chips of one type in a fleet do.
     """
     rows, cols = mesh_dims(corpus.cores_per_chip)
     chip_topology = Topology.mesh2d(rows, cols)
-    pinned = set(core for core in PINNED_CORES
-                 if core < corpus.cores_per_chip)
     mappers: list[TopologyMapper] = []
     for _ in range(corpus.chips):
-        mappers.append(TopologyMapper(
-            chip_topology, cache_size=0, fast_path=fast_path,
+        mappers.append(mapper_type(
+            chip_topology, cache_size=0,
             memos=mappers[0].memos if mappers else None))
-    for mapper in mappers:
-        mapper.reset_free_tracking(set(pinned))
     requests: dict[tuple[int, int], Topology] = {}
-    for event in corpus.events:
-        if event[0] == "map":
-            shape = (event[2], event[3])
-            if shape not in requests:
-                requests[shape] = Topology.mesh2d(*shape)
+    calls = [event for event in corpus.events if event[0] == "map"]
+    for _, _, req_rows, req_cols, _ in calls:
+        shape = (req_rows, req_cols)
+        if shape not in requests:
+            requests[shape] = Topology.mesh2d(*shape)
     outputs: list[tuple] = []
     start = time.perf_counter()
-    for event in corpus.events:
-        kind = event[0]
-        if kind == "map":
-            _, index, req_rows, req_cols, alloc = event
-            try:
-                result = mappers[index].map_similar(
-                    requests[(req_rows, req_cols)], set(alloc),
-                    require_connected=False,
-                )
-            except AllocationError:
-                outputs.append((-1.0, ()))
-                continue
-            outputs.append((result.distance,
-                            tuple(sorted(result.vmap.items()))))
-        elif kind == "alloc":
-            mappers[event[1]].notify_alloc(event[2])
-        else:
-            mappers[event[1]].notify_free(event[2])
+    for _, index, req_rows, req_cols, alloc in calls:
+        try:
+            result = mappers[index].map_similar(
+                requests[(req_rows, req_cols)], set(alloc),
+                require_connected=False,
+            )
+        except AllocationError:
+            outputs.append((-1.0, ()))
+            continue
+        outputs.append((result.distance,
+                        tuple(sorted(result.vmap.items()))))
     wall = time.perf_counter() - start
     counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
     for mapper in mappers:
@@ -243,13 +314,14 @@ def replay(corpus: MappingCorpus, fast_path: bool) -> ReplayResult:
 
 def run_mapping_perf(seed: int = 7, sessions: int = 500, chips: int = 8,
                      cores_per_chip: int = 36) -> dict:
-    """Record a corpus, replay it both ways, and return the two-section
-    report: ``deterministic`` (CI-gated) and ``timing`` (recorded only).
+    """Record a corpus, replay it on both mappers, and return the
+    two-section report: ``deterministic`` (CI-gated) and ``timing``
+    (recorded only).
     """
     corpus = record_corpus(seed=seed, sessions=sessions, chips=chips,
                            cores_per_chip=cores_per_chip)
-    fast = replay(corpus, fast_path=True)
-    reference = replay(corpus, fast_path=False)
+    fast = replay(corpus)
+    reference = replay(corpus, ReferenceMapper)
     mismatches = sum(
         1 for fast_out, ref_out in zip(fast.outputs, reference.outputs)
         if fast_out != ref_out

@@ -205,19 +205,76 @@ def test_elastic_serving_churn_leaves_no_trace(seed):
 
 
 def test_resize_mapper_free_sets_stay_synced():
-    """notify_alloc/notify_free deltas survive resize churn: the mapper's
-    incremental free topology must equal a from-scratch rebuild."""
+    """After resize churn and total teardown the mapper's free view is
+    the whole chip: any mapping request must see all 16 cores free."""
     hypervisor = churn_with_resize(13, steps=40)
-    mapper = hypervisor.mapper
-    stats = mapper.cache_stats()
-    assert stats["free_updates"] > 0  # resizes actually used the deltas
-    # After total teardown the tracked free set must be the whole chip:
-    # any mapping request must see all 16 cores free.
     vnpu = hypervisor.create_vnpu(
         VNpuSpec("post-churn", MeshShape(4, 4), 64 * MB))
     assert len(vnpu.physical_cores) == 16
     hypervisor.destroy_vnpu(vnpu.vmid)
     assert_pristine(hypervisor)
+
+
+def assert_free_view_matches(hypervisor):
+    """The mapper's free topology of the occupancy record is the chip's
+    induced subgraph over the unallocated cores."""
+    chip = hypervisor.chip.topology
+    allocated = hypervisor.allocated_cores
+    view = hypervisor.mapper.free_topology(allocated)
+    expected = chip.subtopology([n for n in chip.nodes if n not in allocated])
+    assert view.nodes == expected.nodes
+    assert view.edges == expected.edges
+    assert view.coords == expected.coords
+    assert view.node_attrs == expected.node_attrs
+
+
+@pytest.mark.parametrize("seed", [3, 8, 19, 44, 88, 2027])
+def test_mapper_free_view_tracks_occupancy_under_churn(seed):
+    """Create/destroy/migrate (in place and cross-chip)/resize churn over
+    two chips: after every step each mapper's free view equals the
+    chip's induced free subgraph."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    fleet = [Hypervisor(Chip(sim_config(16), sim=sim)) for _ in range(2)]
+    live = []  # (hypervisor index, vmid)
+    done = set()
+    for step in range(60):
+        roll = rng.random()
+        try:
+            if live and roll < 0.35:
+                position = rng.randrange(len(live))
+                index, vmid = live[position]
+                if roll < 0.1:
+                    moved, _ = fleet[index].migrate_vnpu(
+                        vmid, destination=fleet[1 - index])
+                    live[position] = (1 - index, moved.vmid)
+                    done.add("cross-chip")
+                elif roll < 0.2:
+                    fleet[index].migrate_vnpu(vmid)
+                    done.add("in-place")
+                else:
+                    fleet[index].resize_vnpu(
+                        vmid, random_spec(rng, f"resize-{step}"))
+                    done.add("resize")
+            elif live and roll < 0.55:
+                index, vmid = live.pop(rng.randrange(len(live)))
+                fleet[index].destroy_vnpu(vmid)
+                done.add("destroy")
+            else:
+                index = rng.randrange(2)
+                vnpu = fleet[index].create_vnpu(random_spec(rng, step))
+                live.append((index, vnpu.vmid))
+                done.add("create")
+        except AllocationError:
+            pass
+        for hypervisor in fleet:
+            assert_free_view_matches(hypervisor)
+    assert done == {"create", "destroy", "in-place", "cross-chip", "resize"}
+    for index, vmid in live:
+        fleet[index].destroy_vnpu(vmid)
+        assert_free_view_matches(fleet[index])
+    for hypervisor in fleet:
+        assert_pristine(hypervisor)
 
 
 class TestResizeSemantics:

@@ -1,6 +1,6 @@
-"""Mapping fast path: equivalence with the reference implementation,
-pruning accounting, incremental free-set maintenance and the perf
-harness (ISSUE 4)."""
+"""Mapping fast path: equivalence with the reference mapper in
+``mapping_oracle``, pruning accounting, the free-set memo and the perf
+harness."""
 
 import random
 
@@ -17,14 +17,16 @@ from repro.core.topology_mapping import TopologyMapper
 from repro.core.vnpu import VNpuSpec
 from repro.errors import AllocationError, TopologyError
 
+from mapping_oracle import ReferenceMapper, all_pairs_hops
+
 
 REQUEST_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 3), (1, 4), (3, 4)]
 
 
 def make_pair(rows=5, cols=5, **kwargs):
     chip = Topology.mesh2d(rows, cols)
-    fast = TopologyMapper(chip, cache_size=0, fast_path=True, **kwargs)
-    reference = TopologyMapper(chip, cache_size=0, fast_path=False, **kwargs)
+    fast = TopologyMapper(chip, cache_size=0, **kwargs)
+    reference = ReferenceMapper(chip, cache_size=0, **kwargs)
     return chip, fast, reference
 
 
@@ -102,8 +104,8 @@ class TestFastPathEquivalence:
         (mesh_shape falls back to isomorphism without coords)."""
         mesh = Topology.mesh2d(3, 3)
         chip = Topology(mesh.nodes, mesh.edges)  # structure only, no coords
-        fast = TopologyMapper(chip, cache_size=0, fast_path=True)
-        reference = TopologyMapper(chip, cache_size=0, fast_path=False)
+        fast = TopologyMapper(chip, cache_size=0)
+        reference = ReferenceMapper(chip, cache_size=0)
         ring = Topology([0, 1, 2, 3, 4, 5, 6],
                         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                          (6, 0)])
@@ -128,10 +130,8 @@ class TestFastPathEquivalence:
             edge_insert=0.1,
         )
         chip = Topology.mesh2d(6, 6)
-        fast = TopologyMapper(chip, costs=costs, cache_size=0,
-                              fast_path=True)
-        reference = TopologyMapper(chip, costs=costs, cache_size=0,
-                                   fast_path=False)
+        fast = TopologyMapper(chip, costs=costs, cache_size=0)
+        reference = ReferenceMapper(chip, costs=costs, cache_size=0)
         assert not fast._delta_exact
         allocated = {0, 4, 8, 15, 19, 23, 26, 30, 34}
         for shape in ((2, 3), (3, 3), (2, 2)):
@@ -150,9 +150,9 @@ class TestFastPathEquivalence:
         assert not TopologyMapper(
             chip, costs=EditCosts(edge_insert=0.1))._delta_exact
 
-    def test_equivalence_under_churn_with_notify(self):
-        """Interleaved alloc/free churn with incremental maintenance on
-        the fast side still matches per-call reference results."""
+    def test_equivalence_under_churn(self):
+        """Interleaved alloc/free churn (the fast side's memos warm
+        across calls) still matches per-call reference results."""
         rng = random.Random(11)
         chip, fast, reference = make_pair(6, 6)
         allocated: set[int] = set()
@@ -161,7 +161,6 @@ class TestFastPathEquivalence:
             if placements and rng.random() < 0.4:
                 cores = placements.pop(rng.randrange(len(placements)))
                 allocated -= set(cores)
-                fast.notify_free(cores)
                 continue
             shape = rng.choice(REQUEST_SHAPES)
             request = Topology.mesh2d(*shape)
@@ -175,7 +174,6 @@ class TestFastPathEquivalence:
             assert fast_result.distance == ref_result.distance
             assert fast_result.vmap == ref_result.vmap
             allocated |= set(fast_result.physical_cores)
-            fast.notify_alloc(fast_result.physical_cores)
             placements.append(fast_result.physical_cores)
 
 
@@ -239,68 +237,39 @@ class TestLowerBound:
         assert bijection_lower_bound(tagged, plain, costs) == 2.0
 
 
-class TestIncrementalFreeSet:
-    def test_free_topology_cached_until_notify(self):
-        chip, fast, _ = make_pair(4, 4)
-        first = fast.free_topology(set())
-        assert fast.free_topology(set()) is first
-        fast.notify_alloc([0, 1])
-        second = fast.free_topology({0, 1})
-        assert second is first  # same object, updated in place
-        assert 0 not in second and 1 not in second
-        assert second.node_count == 14
-        fast.notify_free([0])
-        third = fast.free_topology({1})
-        assert 0 in third and 1 not in third
-        # Restored node regains its chip adjacency and coordinates.
-        assert set(third.neighbors(0)) == {4}  # 1 still allocated
-        assert third.coords[0] == chip.coords[0]
-
-    def test_incremental_matches_rebuild(self):
-        rng = random.Random(5)
-        chip, fast, reference = make_pair(6, 6)
-        allocated: set[int] = set()
-        for _ in range(40):
-            free_nodes = [n for n in chip.nodes if n not in allocated]
-            if allocated and rng.random() < 0.45:
-                cores = rng.sample(sorted(allocated), 1)
-                allocated -= set(cores)
-                fast.notify_free(cores)
-            elif free_nodes:
-                cores = rng.sample(free_nodes,
-                                   rng.randrange(1, min(4, len(free_nodes)) + 1))
-                allocated |= set(cores)
-                fast.notify_alloc(cores)
-            incremental = fast.free_topology(set(allocated))
-            rebuilt = reference.free_topology(set(allocated))
-            assert incremental.nodes == rebuilt.nodes
-            assert incremental.edges == rebuilt.edges
-            assert incremental.coords == rebuilt.coords
-
-    def test_hypervisor_keeps_tracking_in_sync(self):
-        chip = Chip(sim_config(16))
-        hypervisor = Hypervisor(chip)
-        mapper = hypervisor.mapper
-        spec = VNpuSpec("t", MeshShape(2, 2), 16 * MB)
-        first = hypervisor.create_vnpu(spec)
-        assert mapper._tracked_allocated == hypervisor.allocated_cores
-        second = hypervisor.create_vnpu(VNpuSpec("u", MeshShape(1, 3), 8 * MB))
-        assert mapper._tracked_allocated == hypervisor.allocated_cores
-        hypervisor.destroy_vnpu(first.vmid)
-        assert mapper._tracked_allocated == hypervisor.allocated_cores
-        hypervisor.migrate_vnpu(second.vmid)  # in-place compaction
-        assert mapper._tracked_allocated == hypervisor.allocated_cores
-
-    def test_adhoc_sets_still_correct(self):
-        chip, fast, _ = make_pair(4, 4)
-        fast.notify_alloc([0, 1, 2])
+class TestFreeTopologyMemo:
+    def test_two_entry_lru_keyed_by_allocated_set(self):
+        _, fast, _ = make_pair(4, 4)
+        first = fast.free_topology(frozenset({0, 1}))
+        assert fast.free_topology({0, 1}) is first  # equal set, any type
+        assert 0 not in first and first.node_count == 14
         adhoc = fast.free_topology({5})
-        assert adhoc.node_count == 15 and 5 not in adhoc
-        # Repeat probes against the same ad-hoc set hit the one-slot
-        # cache (migration trials re-rank against a fixed trial set).
-        assert fast.free_topology({5}) is adhoc
-        tracked = fast.free_topology({0, 1, 2})
-        assert tracked.node_count == 13
+        assert fast.free_topology(frozenset({0, 1})) is first
+        fast.free_topology({6})  # evicts the least recently used: {5}
+        assert fast.free_topology({0, 1}) is first
+        assert fast.free_topology({5}) is not adhoc
+        assert fast.cache_stats()["free_rebuilds"] == 4
+
+    def test_view_never_mutated_by_later_provisioning(self):
+        """A returned free topology is a value: creating or destroying a
+        vNPU afterwards leaves it exactly as it was."""
+        hypervisor = Hypervisor(Chip(sim_config(16)))
+        mapper = hypervisor.mapper
+
+        def snapshot(topology):
+            return (topology.nodes, topology.edges, dict(topology.coords),
+                    dict(topology.node_attrs))
+
+        empty = mapper.free_topology(hypervisor.allocated_cores)
+        before = snapshot(empty)
+        vnpu = hypervisor.create_vnpu(VNpuSpec("t", MeshShape(2, 2), 16 * MB))
+        occupied = mapper.free_topology(hypervisor.allocated_cores)
+        during = snapshot(occupied)
+        assert occupied.node_count == 12
+        hypervisor.create_vnpu(VNpuSpec("u", MeshShape(1, 3), 8 * MB))
+        hypervisor.destroy_vnpu(vnpu.vmid)
+        assert snapshot(empty) == before
+        assert snapshot(occupied) == during
 
 
 class TestCacheKeyAttributes:
@@ -339,30 +308,12 @@ class TestMapperStatsSurfaces:
         per_chip = [fc.hypervisor.mapper.cache_stats()
                     for fc in fleet.chips]
         assert stats["misses"] == sum(s["misses"] for s in per_chip)
-        assert stats["free_updates"] == sum(s["free_updates"]
-                                            for s in per_chip)
+        assert stats["free_rebuilds"] == sum(s["free_rebuilds"]
+                                             for s in per_chip)
         assert 0.0 <= stats["hit_rate"] <= 1.0
 
 
-class TestTopologyMutationHelpers:
-    def test_discard_unknown_node_is_noop(self):
-        chip = Topology.mesh2d(2, 2)
-        free = chip.subtopology(chip.nodes)
-        free._discard_node(99)
-        assert free.node_count == 4
-
-    def test_restore_unknown_parent_node_rejected(self):
-        chip = Topology.mesh2d(2, 2)
-        free = chip.subtopology(chip.nodes)
-        with pytest.raises(TopologyError):
-            free._restore_node(chip, 99)
-
-    def test_restore_present_node_is_noop(self):
-        chip = Topology.mesh2d(2, 2)
-        free = chip.subtopology(chip.nodes)
-        free._restore_node(chip, 0)
-        assert free.node_count == 4
-
+class TestHelpers:
     def test_chip_hops_computed_once_and_correct(self):
         chip, fast, _ = make_pair(3, 3)
         hops = fast.chip_hops
@@ -370,7 +321,7 @@ class TestTopologyMutationHelpers:
         assert fast.chip_hops is hops
 
     def test_mesh_dims_factorization(self):
-        from repro.analysis.perf import mesh_dims
+        from mapping_oracle import mesh_dims
         assert mesh_dims(36) == (6, 6)
         assert mesh_dims(16) == (4, 4)
         assert mesh_dims(12) == (3, 4)
@@ -379,12 +330,12 @@ class TestTopologyMutationHelpers:
 
 class TestPerfHarness:
     def test_small_corpus_replays_identically(self):
-        from repro.analysis.perf import record_corpus, replay
+        from mapping_oracle import record_corpus, replay
         corpus = record_corpus(seed=3, sessions=25, chips=2,
                                cores_per_chip=16)
         assert corpus.map_calls > 0
-        fast = replay(corpus, fast_path=True)
-        reference = replay(corpus, fast_path=False)
+        fast = replay(corpus)
+        reference = replay(corpus, ReferenceMapper)
         assert fast.outputs == reference.outputs
         assert fast.outputs_digest() == reference.outputs_digest()
         counters = fast.counters
@@ -393,14 +344,14 @@ class TestPerfHarness:
                 == counters["candidates_considered"])
 
     def test_corpus_is_deterministic(self):
-        from repro.analysis.perf import record_corpus
+        from mapping_oracle import record_corpus
         one = record_corpus(seed=5, sessions=15, chips=2, cores_per_chip=16)
         two = record_corpus(seed=5, sessions=15, chips=2, cores_per_chip=16)
         assert one.events == two.events
         assert one.digest() == two.digest()
 
     def test_report_shape(self):
-        from repro.analysis.perf import run_mapping_perf
+        from mapping_oracle import run_mapping_perf
         report = run_mapping_perf(seed=3, sessions=15, chips=2,
                                   cores_per_chip=16)
         deterministic = report["deterministic"]
@@ -429,7 +380,7 @@ class TestHopTableIdentity:
         for rows, cols in ((1, 1), (2, 3), (4, 4), (3, 7)):
             mesh = Topology.mesh2d(rows, cols)
             assert (TopologyMapper._all_pairs_hops_vectorized(mesh)
-                    == TopologyMapper._all_pairs_hops(mesh))
+                    == all_pairs_hops(mesh))
 
     def test_random_hop_tables_identical(self):
         # Includes sparse draws with isolated nodes and disconnected
@@ -438,14 +389,14 @@ class TestHopTableIdentity:
             topology = self._random_topology(seed, 12,
                                              connect_prob=0.08 + seed * 0.02)
             assert (TopologyMapper._all_pairs_hops_vectorized(topology)
-                    == TopologyMapper._all_pairs_hops(topology))
+                    == all_pairs_hops(topology))
 
     def test_empty_and_singleton(self):
         empty = Topology([], [])
         single = Topology([0], [])
         for topology in (empty, single):
             assert (TopologyMapper._all_pairs_hops_vectorized(topology)
-                    == TopologyMapper._all_pairs_hops(topology))
+                    == all_pairs_hops(topology))
 
 
 # -- shape-canonical memos ---------------------------------------------------
@@ -481,8 +432,7 @@ def window(chip, cells, offset):
 
 def assert_matches_reference(fast, request, allocated, costs=None):
     """Compare a warm fast mapper with a fresh reference mapper."""
-    reference = TopologyMapper(fast.chip, costs=costs, cache_size=0,
-                               fast_path=False)
+    reference = ReferenceMapper(fast.chip, costs=costs, cache_size=0)
     fast_result = call(fast, request, allocated)
     ref_result = call(reference, request, allocated)
     assert (fast_result is None) == (ref_result is None)
@@ -509,7 +459,7 @@ TRANSLATE_REQUESTS = (
 
 class TestTranslateIdentity:
     """One warm fast mapper fed translated occupancies returns exactly
-    what a fresh ``fast_path=False`` mapper returns for each of them."""
+    what a fresh ``ReferenceMapper`` returns for each of them."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), size=st.integers(5, 11))
