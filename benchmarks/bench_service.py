@@ -67,7 +67,7 @@ def make_trace(seed: int, sessions: int, chips: int):
 def batch_summary(trace, chips: int) -> str:
     """The oracle: plain batch serve(), canonical bytes."""
     fleet = FleetScheduler.homogeneous(chips, cores=16,
-                                       config=make_config())
+                                       **make_config().fleet_kwargs())
     fleet.submit(trace)
     fleet.run()
     frequency = fleet.chips[0].chip.config.frequency_hz

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Serving benchmark: a seeded multi-tenant churn trace on one chip.
 
-Replays a deterministic trace of tenant sessions through the
-:class:`~repro.serving.scheduler.ClusterScheduler` and emits a canonical
+Replays a deterministic trace of tenant sessions through a one-chip
+:class:`~repro.serving.fleet.FleetScheduler` and emits a canonical
 JSON artifact (sessions/sec, p50/p95 queue delay, time-weighted
 utilization, fragmentation, mapping-cache hit rate). Two runs with the
 same seed produce byte-identical JSON.
@@ -24,17 +24,15 @@ for _entry in (str(_ROOT), str(_ROOT / "src")):
         sys.path.insert(0, _entry)
 
 from benchmarks.common import Table, write_bench_json  # noqa: E402
-from repro.arch.chip import Chip  # noqa: E402
 from repro.arch.config import sim_config  # noqa: E402
-from repro.core.hypervisor import Hypervisor  # noqa: E402
-from repro.serving import ClusterScheduler, generate_trace  # noqa: E402
+from repro.serving import FleetScheduler, generate_trace  # noqa: E402
 
 
 def run_serving(seed: int, sessions: int, cores: int, policy: str,
                 mean_interarrival: int) -> dict:
-    chip = Chip(sim_config(cores))
-    hypervisor = Hypervisor(chip)
-    scheduler = ClusterScheduler(chip, hypervisor, policy=policy)
+    scheduler = FleetScheduler([sim_config(cores)], policy=policy)
+    chip = scheduler.chips[0].chip
+    hypervisor = scheduler.chips[0].hypervisor
     trace = generate_trace(seed, sessions, max_cores=cores,
                            mean_interarrival_cycles=mean_interarrival)
     metrics = scheduler.serve(trace)

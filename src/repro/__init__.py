@@ -62,7 +62,6 @@ from repro.runtime.session import (
     estimate_together,
 )
 from repro.serving import (
-    ClusterScheduler,
     DefragPolicy,
     FleetMetrics,
     FleetScheduler,
@@ -76,7 +75,6 @@ __all__ = [
     "AnalyticCostModel",
     "CachedCostModel",
     "Chip",
-    "ClusterScheduler",
     "CoreConfig",
     "CostModel",
     "DefragPolicy",

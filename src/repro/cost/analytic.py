@@ -1,8 +1,7 @@
 """The ``analytic`` tier: memoized steady-state bottleneck pricing.
 
-This is the refactored home of the serving layer's original
-``ServiceTimeEstimator``: compile the session's model onto its actual
-vNPU placement, run the :mod:`repro.runtime.pipeline` bottleneck model
+The default tier every scheduler prices with: compile the session's
+model onto its actual vNPU placement, run the :mod:`repro.runtime.pipeline` bottleneck model
 for the iteration interval, and the §6.3.4 weight-load formula for
 warm-up. Estimates are the *solo* steady state — cross-tenant slowdown
 is deliberately not fed back (it would make every departure time depend

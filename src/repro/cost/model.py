@@ -14,7 +14,7 @@ interface is deliberately small:
 
 Tiers are registered by name through the same
 :class:`~repro.core.registry.Registry` idiom as mapping strategies and
-admission policies, so ``ClusterScheduler(chip, cost_model="cached")``
+admission policies, so ``FleetScheduler(configs, cost_model="cached")``
 works the same as ``policy="best_fit"``. The built-ins:
 
 ========== ============================================= ==============

@@ -7,9 +7,11 @@ one discrete-event clock — admitting, queueing, provisioning vNPUs and
 freeing them as tenants depart, with pluggable cross-chip placement
 policies and live vNPU migration for defragmentation
 (:class:`DefragPolicy`) — while :class:`FleetMetrics` tracks queue
-delays, utilization and fragmentation over time.
-:class:`ClusterScheduler` is the same scheduler over one caller-built
-chip and hypervisor. Sessions are priced through a pluggable :mod:`repro.cost` fidelity tier
+delays, utilization and fragmentation over time; a one-chip serving
+run is a one-chip fleet. Every scheduler knob can be bundled as a
+validated, wire-serializable :class:`ServingConfig` and passed as
+``**config.fleet_kwargs()``. Sessions are priced through a pluggable
+:mod:`repro.cost` fidelity tier
 (``cost_model="analytic" | "executor" | "cached"``) and, when given an
 ``elastic=`` policy, enforce :class:`SLOClass` objectives by live
 grow/shrink resizing and preemption of lower tiers
@@ -44,6 +46,7 @@ from repro.serving.fleet import (
     FleetChip,
     FleetScheduler,
     LeastLoadedPlacement,
+    PendingSession,
     PlacementPolicy,
     PowerOfTwoPlacement,
     available_placements,
@@ -77,19 +80,13 @@ from repro.serving.policies import (
     FCFSPolicy,
     PriorityPolicy,
     available_policies,
+    coerce_policy,
     register_policy,
     resolve_policy,
     unregister_policy,
 )
-from repro.serving.scheduler import (
-    ClusterScheduler,
-    PendingSession,
-    ServiceTimeEstimator,
-    coerce_policy,
-)
 from repro.serving.shard import (
     CRASH_KINDS,
-    DEALING_MODES,
     AdmitOrder,
     CrashEvent,
     CrashSchedule,
@@ -131,7 +128,6 @@ from repro.serving.workload import (
     SHAPE_MIX,
     TenantSession,
     TraceSpec,
-    deal_sessions,
     generate_fleet_trace,
     generate_trace,
 )
@@ -145,11 +141,9 @@ __all__ = [
     "BestFitPolicy",
     "CONFIG_KEYS",
     "CRASH_KINDS",
-    "ClusterScheduler",
     "ControlPlane",
     "CrashEvent",
     "CrashSchedule",
-    "DEALING_MODES",
     "DEFAULT_SLO_MIX",
     "DefragPolicy",
     "EVACUATION_POLICIES",
@@ -181,7 +175,6 @@ __all__ = [
     "SLOClass",
     "SLOMetrics",
     "ServiceClient",
-    "ServiceTimeEstimator",
     "ServingConfig",
     "SessionRecord",
     "ShardSlice",
@@ -199,7 +192,6 @@ __all__ = [
     "coerce_evacuation",
     "coerce_placement",
     "coerce_policy",
-    "deal_sessions",
     "decode_message",
     "encode_message",
     "effective_priority",

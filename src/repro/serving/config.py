@@ -15,16 +15,17 @@ Policy *instances* are accepted too (they serialize by their registered
 ``name``; ad-hoc unregistered instances are refused at ``to_dict`` —
 an object with local state cannot cross a wire by name).
 
-``FleetScheduler`` and its one-chip ``ClusterScheduler`` accept
-``config=``::
+Every scheduler takes its knobs as kwargs, and a config supplies them
+through :meth:`ServingConfig.fleet_kwargs`::
 
     cfg = ServingConfig(policy="priority", elastic="shrink_then_preempt")
-    fleet = FleetScheduler.homogeneous(4, cores=16, config=cfg)
+    fleet = FleetScheduler.homogeneous(4, cores=16, **cfg.fleet_kwargs())
 
-Explicitly passed kwargs override the config (the thin pass-through
-that keeps every existing construction path byte-identical), and
-:meth:`FleetScheduler.restore` forwards ``config=`` so a warm restart
-names its policies the same way the original construction did.
+:class:`~repro.serving.shard.ShardedFleetScheduler` builds a config
+from its slice options at construction, so a bad knob fails before any
+worker process starts, and :meth:`FleetScheduler.restore` takes the
+same kwargs so a warm restart names its policies the way the original
+construction did.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ class ServingConfig:
     """One declarative bundle of every scheduler configuration knob.
 
     Fields mirror :class:`~repro.serving.fleet.FleetScheduler` kwargs
-    exactly, and :class:`~repro.serving.scheduler.ClusterScheduler` —
-    a one-chip fleet — honours every one of them. Construction is
+    exactly, defaults included. Construction is
     fail-fast: every field is validated through its family's coerce
     helper, so a typo'd policy name raises here — before a fleet, a
     socket or a checkpoint ever sees it — naming the offending value
@@ -159,11 +159,7 @@ class ServingConfig:
         if not isinstance(data, dict):
             raise ServingError(
                 f"serving config must be a dict; got {data!r}")
-        unknown = sorted(set(data) - set(CONFIG_KEYS))
-        if unknown:
-            raise ServingError(
-                f"unknown serving config keys {unknown}; "
-                f"choose from {CONFIG_KEYS}")
+        _reject_unknown_keys(data)
         kwargs = {key: data[key] for key in CONFIG_KEYS if key in data}
         if kwargs.get("defrag") is not None:
             try:
@@ -179,6 +175,25 @@ class ServingConfig:
                 raise ServingError(
                     f"bad faults spec {data['faults']!r}: {error}") from None
         return cls(**kwargs)
+
+    @classmethod
+    def from_kwargs(cls, **kwargs) -> "ServingConfig":
+        """Build a config from scheduler kwargs (fail-fast).
+
+        Like :meth:`from_dict`, an unknown key raises
+        :class:`~repro.errors.ServingError` naming it, not a bare
+        ``TypeError``; values are taken as they are (instances too).
+        """
+        _reject_unknown_keys(kwargs)
+        return cls(**kwargs)
+
+
+def _reject_unknown_keys(data: dict) -> None:
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ServingError(
+            f"unknown serving config keys {unknown}; "
+            f"choose from {CONFIG_KEYS}")
 
 
 #: Field-name tuple kept in lockstep with the dataclass (a drift here

@@ -163,6 +163,44 @@ def requeue_in_arrival_order(pending: "list[PendingSession]",
     return requeued
 
 
+def validate_session(session: TenantSession, models, largest_cores: int,
+                     largest_memory: int) -> None:
+    """Refuse a session no chip of a fleet can ever host.
+
+    ``models`` is the pricing tier's model table; ``largest_cores`` and
+    ``largest_memory`` are the fleet's biggest chip and guest-memory
+    capacity. A request past either must fail up front: parked behind
+    a busy fleet it would otherwise wait forever.
+    """
+    if session.model not in models:
+        raise ServingError(
+            f"session {session.session_id} wants unknown model "
+            f"{session.model!r}")
+    if session.core_count > largest_cores:
+        raise ServingError(
+            f"session {session.session_id} wants "
+            f"{session.core_count} cores; largest fleet chip has "
+            f"{largest_cores}")
+    if session.memory_bytes > largest_memory:
+        raise ServingError(
+            f"session {session.session_id} wants "
+            f"{session.memory_bytes} guest bytes; largest fleet "
+            f"chip can map {largest_memory}")
+
+
+def sum_mapper_stats(stats) -> dict[str, int | float]:
+    """Sum mapper ``cache_stats`` dicts; ``hit_rate`` is recomputed
+    from the summed hits and misses, not summed."""
+    total: dict[str, int | float] = {}
+    for chip_stats in stats:
+        for key, value in chip_stats.items():
+            if key != "hit_rate":
+                total[key] = total.get(key, 0) + value
+    lookups = total.get("hits", 0) + total.get("misses", 0)
+    total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
+    return total
+
+
 @dataclass
 class FleetChip:
     """One chip of the fleet: its hypervisor plus derived state."""
@@ -416,20 +454,6 @@ class ActiveFleetSession:
                                                         self.cores))
 
 
-#: Scheduler-knob defaults, used to tell "explicitly passed" from
-#: "left at default" when merging kwargs over a ``config=``.
-_FLEET_DEFAULTS: dict = {
-    "policy": "fcfs",
-    "placement": "least_loaded",
-    "strategy": None,
-    "defrag": None,
-    "cost_model": "analytic",
-    "elastic": None,
-    "faults": None,
-    "evacuation": "shrink_to_fit",
-}
-
-
 class FleetScheduler:
     """Serves one tenant trace across N chips on a shared clock."""
 
@@ -442,28 +466,7 @@ class FleetScheduler:
                  cost_model: "CostModel | str" = "analytic",
                  elastic: "ElasticPolicy | str | None" = None,
                  faults: FailureSchedule | None = None,
-                 evacuation: str = "shrink_to_fit",
-                 config=None) -> None:
-        if config is not None:
-            # A ServingConfig provides the baseline; any kwarg the
-            # caller explicitly moved off its default wins over it, so
-            # every pre-existing construction path is untouched.
-            merged = dict(config.fleet_kwargs())
-            passed = {"policy": policy, "placement": placement,
-                      "strategy": strategy, "defrag": defrag,
-                      "cost_model": cost_model, "elastic": elastic,
-                      "faults": faults, "evacuation": evacuation}
-            for key, value in passed.items():
-                if value != _FLEET_DEFAULTS[key]:
-                    merged[key] = value
-            policy = merged["policy"]
-            placement = merged["placement"]
-            strategy = merged["strategy"]
-            defrag = merged["defrag"]
-            cost_model = merged["cost_model"]
-            elastic = merged["elastic"]
-            faults = merged["faults"]
-            evacuation = merged["evacuation"]
+                 evacuation: str = "shrink_to_fit") -> None:
         if not configs:
             raise ServingError("fleet needs at least one chip config")
         self.sim = sim or Simulator()
@@ -538,15 +541,6 @@ class FleetScheduler:
     def free_core_count(self) -> int:
         return sum(fc.free_cores() for fc in self.chips)
 
-    @property
-    def estimator(self) -> CostModel:
-        """Historical name for the pricing engine (now any cost tier)."""
-        return self.cost_model
-
-    @estimator.setter
-    def estimator(self, model: "CostModel | str") -> None:
-        self.cost_model = coerce_cost_model(model)
-
     def mapper_stats(self) -> dict[str, int | float]:
         """Fleet-wide mapper counters (per-chip ``cache_stats`` summed).
 
@@ -555,44 +549,19 @@ class FleetScheduler:
         candidates considered/pruned/refined, objective evaluations and
         free-set rebuilds.
         """
-        total: dict[str, int | float] = {}
-        for fleet_chip in self.chips:
-            for key, value in fleet_chip.hypervisor.mapper.cache_stats().items():
-                if key == "hit_rate":
-                    continue
-                total[key] = total.get(key, 0) + value
-        lookups = total.get("hits", 0) + total.get("misses", 0)
-        total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
-        return total
+        return sum_mapper_stats(fc.hypervisor.mapper.cache_stats()
+                                for fc in self.chips)
 
     # -- public API --------------------------------------------------------
     def register_model(self, name: str, builder) -> None:
         self.cost_model.register_model(name, builder)
 
     def _validate(self, session: TenantSession) -> None:
-        """Refuse a session no chip of this fleet can ever host.
-
-        A request past the largest chip's core count or guest-memory
-        capacity must fail up front: parked behind a busy fleet it
-        would otherwise wait forever.
-        """
-        if session.model not in self.cost_model.models:
-            raise ServingError(
-                f"session {session.session_id} wants unknown model "
-                f"{session.model!r}")
-        largest = max(fc.chip.core_count for fc in self.chips)
-        if session.core_count > largest:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.core_count} cores; largest fleet chip has "
-                f"{largest}")
-        largest_memory = max(fc.hypervisor.guest_memory_capacity
-                             for fc in self.chips)
-        if session.memory_bytes > largest_memory:
-            raise ServingError(
-                f"session {session.session_id} wants "
-                f"{session.memory_bytes} guest bytes; largest fleet "
-                f"chip can map {largest_memory}")
+        """Refuse a session no chip of this fleet can ever host."""
+        validate_session(
+            session, self.cost_model.models,
+            max(fc.chip.core_count for fc in self.chips),
+            max(fc.hypervisor.guest_memory_capacity for fc in self.chips))
 
     def submit(self, trace: "list[TenantSession]") -> None:
         """Queue a trace; arrivals are replayed at their recorded cycles."""
@@ -733,9 +702,12 @@ class FleetScheduler:
         ``kwargs`` must name the same policy/placement/cost-model
         configuration the checkpointed scheduler ran with (policies are
         stateless between decisions, so they live outside the snapshot).
-        Passing ``config=ServingConfig(...)`` is the declarative way to
-        do that — the control plane checkpoints ``config.to_dict()``
-        next to the state and hands both back here on warm restart.
+        The control plane checkpoints its
+        :class:`~repro.serving.config.ServingConfig` next to the state
+        and passes ``**config.fleet_kwargs()`` back here on warm
+        restart. The snapshot's fault schedule, evacuation policy and
+        cost tier are authoritative: a kwarg that contradicts one of
+        them raises :class:`~repro.errors.ServingError`.
         Buddy-allocator addresses are re-assigned on restore (logical
         state round-trips; physical addresses may differ — see
         ``Hypervisor.snapshot_state``). A snapshot of any other
@@ -745,11 +717,19 @@ class FleetScheduler:
         if found != SNAPSHOT_FORMAT:
             raise ServingError(f"snapshot format {found!r} is not the "
                                f"supported format {SNAPSHOT_FORMAT}")
-        kwargs.setdefault("evacuation", state["evacuation"])
+        recorded = {"faults": state["faults"],
+                    "evacuation": state["evacuation"]}
         if state["cost_tier"]:
-            kwargs.setdefault("cost_model", state["cost_tier"])
-        fleet = cls(list(state["configs"]), faults=state["faults"],
-                    **kwargs)
+            recorded["cost_model"] = state["cost_tier"]
+        for key, value in recorded.items():
+            given = kwargs.setdefault(key, value)
+            if key == "cost_model":
+                given = getattr(given, "name", given)
+            if given != value:
+                raise ServingError(
+                    f"restore got {key}={given!r}, but the snapshot "
+                    f"recorded {value!r}")
+        fleet = cls(list(state["configs"]), **kwargs)
         # Memoized prices are behavioral state: without them the restored
         # run would re-price cache keys on different placements and drift
         # off the checkpointed timeline.

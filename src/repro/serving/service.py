@@ -125,8 +125,8 @@ class ControlPlane:
         #: ``fleet=`` is the adoption hook :meth:`restore` uses; normal
         #: construction builds a homogeneous fleet from the config.
         self.fleet = (fleet if fleet is not None else
-                      FleetScheduler.homogeneous(chips, cores=cores,
-                                                 config=self.config))
+                      FleetScheduler.homogeneous(
+                          chips, cores=cores, **self.config.fleet_kwargs()))
         #: Validated admissions not yet folded into the scheduler.
         self._backlog: list[TenantSession] = []
         self._lock = asyncio.Lock()
@@ -327,7 +327,8 @@ class ControlPlane:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
         config = ServingConfig.from_dict(payload["config"])
-        fleet = FleetScheduler.restore(payload["state"], config=config)
+        fleet = FleetScheduler.restore(payload["state"],
+                                       **config.fleet_kwargs())
         service = payload["service"]
         plane = cls(chips=fleet.chip_count, config=config,
                     mode=service["mode"],

@@ -101,22 +101,15 @@ from repro.arch.config import SoCConfig, sim_config
 from repro.core.hypervisor import guest_capacity_bytes
 from repro.cost import coerce_cost_model
 from repro.errors import EpochTimeoutError, ServingError, WorkerFailure
-from repro.serving.fleet import FleetScheduler, resolve_placement
-from repro.serving.faults import (
-    FailureSchedule,
-    coerce_evacuation,
-    partition_schedule,
+from repro.serving.config import ServingConfig
+from repro.serving.faults import FailureSchedule, partition_schedule
+from repro.serving.fleet import (
+    FleetScheduler,
+    sum_mapper_stats,
+    validate_session,
 )
 from repro.serving.metrics import FleetMetrics, merge_fleet_summaries
-from repro.serving.policies import coerce_policy
-from repro.serving.workload import TenantSession, deal_sessions
-
-#: Dealing modes: ``balanced`` routes each session to the eligible
-#: shard with the most claim-adjusted free cores (and spills stale
-#: waiters at fences); ``static`` pins sessions round-robin by arrival
-#: rank (:func:`~repro.serving.workload.deal_sessions`) — no claims,
-#: no spills, useful as the simplest-possible reference dealer.
-DEALING_MODES = ("balanced", "static")
+from repro.serving.workload import TenantSession
 
 #: Host-process fault kinds a :class:`CrashSchedule` can inject.
 CRASH_KINDS = ("crash", "hang", "crash_on_restore", "crash_on_collect")
@@ -289,8 +282,7 @@ class ShardSlice:
     :class:`~repro.serving.fleet.FleetScheduler` opened in streaming
     mode: the coordinator pushes committed admissions each epoch, the
     slice runs its engine to the fence and reports its claim state.
-    ``spill_after_cycles=None`` disables spill proposals (static
-    dealing pins sessions to their shard).
+    ``spill_after_cycles=None`` disables spill proposals.
     """
 
     def __init__(self, shard_id: int, configs: list[SoCConfig],
@@ -580,9 +572,12 @@ class ShardedFleetScheduler:
 
     Per-shard scheduler options (``policy``, ``placement``,
     ``strategy``, ``defrag``, ``cost_model``, ``elastic``,
-    ``evacuation``) are forwarded to every slice; pass registry *names*
-    (not instances) when worker processes may be spawned rather than
-    forked, so the options cross the pipe.
+    ``evacuation``) are validated as one
+    :class:`~repro.serving.config.ServingConfig` at construction — a
+    bad or unknown option raises before any worker starts — and
+    forwarded to every slice; pass registry *names* (not instances)
+    when worker processes may be spawned rather than forked, so the
+    options cross the pipe.
 
     Supervision knobs (multi-worker runs only):
 
@@ -603,7 +598,6 @@ class ShardedFleetScheduler:
                  shards: int | None = None,
                  workers: int = 1,
                  epoch_cycles: int = 25_000_000,
-                 dealing: str = "balanced",
                  spill_after_cycles: int | None = None,
                  faults: FailureSchedule | None = None,
                  checkpoint_every: int | None = 1,
@@ -619,9 +613,6 @@ class ShardedFleetScheduler:
                 f"epoch_cycles must be positive, got {epoch_cycles}")
         if workers < 1:
             raise ServingError(f"need at least one worker, got {workers}")
-        if dealing not in DEALING_MODES:
-            raise ServingError(
-                f"unknown dealing mode {dealing!r}; known: {DEALING_MODES}")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ServingError(
                 f"checkpoint_every must be >= 1 or None, got "
@@ -642,7 +633,6 @@ class ShardedFleetScheduler:
         self.groups = partition_chips(len(configs), self.shards)
         self.workers = min(workers, self.shards)
         self.epoch_cycles = epoch_cycles
-        self.dealing = dealing
         #: A waiter this many cycles old at a fence proposes a spill.
         self.spill_after_cycles = (epoch_cycles if spill_after_cycles is None
                                    else spill_after_cycles)
@@ -653,14 +643,10 @@ class ShardedFleetScheduler:
         self._fault_horizon = max(
             (e.recovery_cycle for e in faults.events), default=0
         ) if faults is not None else 0
-        # Fail fast on bad registry names before any worker starts.
-        coerce_policy(slice_options.get("policy", "fcfs"))
-        placement = slice_options.get("placement", "least_loaded")
-        if isinstance(placement, str):
-            resolve_placement(placement)
-        coerce_cost_model(slice_options.get("cost_model", "analytic"))
-        coerce_evacuation(slice_options.get("evacuation", "shrink_to_fit"))
-        self._slice_options = slice_options
+        #: The per-slice scheduler knobs, validated before any worker
+        #: starts. Its ``faults`` stays None: each slice gets its own
+        #: partition of the fleet schedule.
+        self.config = ServingConfig.from_kwargs(**slice_options)
         self.checkpoint_every = checkpoint_every
         self.epoch_timeout_seconds = epoch_timeout_seconds
         self.respawn_budget = respawn_budget
@@ -693,7 +679,6 @@ class ShardedFleetScheduler:
         self._frequency_hz = configs[0].frequency_hz
         self._trace: list[TenantSession] = []
         self._trace_loaded = False
-        self._static_target: dict[int, int] = {}
         # Run state.
         self._cursor = 0
         self._deferred: list[AdmitOrder] = []
@@ -746,35 +731,11 @@ class ShardedFleetScheduler:
             raise ServingError("scheduler already has a trace submitted")
         largest = max(max(cores) for cores in self._chip_cores)
         largest_memory = max(max(caps) for caps in self._chip_capacity)
-        cost_model = coerce_cost_model(
-            self._slice_options.get("cost_model", "analytic"))
+        models = coerce_cost_model(self.config.cost_model).models
         ordered = sorted(trace,
                          key=lambda s: (s.arrival_cycle, s.session_id))
         for session in ordered:
-            if session.model not in cost_model.models:
-                raise ServingError(
-                    f"session {session.session_id} wants unknown model "
-                    f"{session.model!r}")
-            if session.core_count > largest:
-                raise ServingError(
-                    f"session {session.session_id} wants "
-                    f"{session.core_count} cores; largest fleet chip has "
-                    f"{largest}")
-            if session.memory_bytes > largest_memory:
-                raise ServingError(
-                    f"session {session.session_id} wants "
-                    f"{session.memory_bytes} guest bytes; largest fleet "
-                    f"chip can map {largest_memory}")
-        if self.dealing == "static":
-            dealt = deal_sessions(ordered, self.shards)
-            for shard_id, sessions in enumerate(dealt):
-                for session in sessions:
-                    if not self._fits_statically(shard_id, session):
-                        raise ServingError(
-                            f"static deal pins session "
-                            f"{session.session_id} to shard {shard_id}, "
-                            f"which cannot host it")
-                    self._static_target[session.session_id] = shard_id
+            validate_session(session, models, largest, largest_memory)
         self._trace = ordered
         self._trace_loaded = True
 
@@ -836,7 +797,8 @@ class ShardedFleetScheduler:
                       if self.recovery.active else None))
         digest["sharding"].update({
             "chips_per_shard": [len(g) for g in self.groups],
-            "dealing": self.dealing,
+            # The only dealing mode; the key keeps the digest layout.
+            "dealing": "balanced",
             "deferred_total": self.deferred_total,
             "epoch_cycles": self.epoch_cycles,
             "epochs": self._epochs,
@@ -928,11 +890,8 @@ class ShardedFleetScheduler:
         admits it mid-epoch on the first departure, which a
         coordinator-side deferral could not. Spills set
         ``require_free``: moving to another queue is never better than
-        staying put. ``static`` dealing bypasses all of it — the
-        pinned shard absorbs the session unconditionally.
+        staying put.
         """
-        if self.dealing == "static":
-            return self._static_target[session.session_id]
         cores = session.core_count
         best: tuple | None = None
         best_shard = best_chip = None
@@ -992,23 +951,14 @@ class ShardedFleetScheduler:
             for order in report["spills"]:
                 self._spills.append((shard_id, order))
 
-    def _fits_statically(self, shard_id: int,
-                         session: TenantSession) -> bool:
-        return any(
-            self._chip_cores[shard_id][chip] >= session.core_count
-            and self._chip_capacity[shard_id][chip] >= session.memory_bytes
-            for chip in range(len(self._chip_cores[shard_id])))
-
     # -- slice / worker management -----------------------------------------
     def _slice_kwargs(self, shard_id: int) -> dict:
-        spill = (None if self.dealing == "static"
-                 else self.spill_after_cycles)
         return {
+            **self.config.fleet_kwargs(),
             "shard_id": shard_id,
             "configs": [self.configs[i] for i in self.groups[shard_id]],
-            "spill_after_cycles": spill,
+            "spill_after_cycles": self.spill_after_cycles,
             "faults": self._shard_faults[shard_id],
-            **self._slice_options,
         }
 
     def _checkpoint_due(self) -> bool:
@@ -1285,15 +1235,8 @@ class ShardedFleetScheduler:
             states[sid] = self._slices[sid].collect()
         self.shard_metrics = [states[sid]["metrics"]
                               for sid in range(self.shards)]
-        total: dict[str, int | float] = {}
-        for sid in range(self.shards):
-            for key, value in states[sid]["mapper"].items():
-                if key == "hit_rate":
-                    continue
-                total[key] = total.get(key, 0) + value
-        lookups = total.get("hits", 0) + total.get("misses", 0)
-        total["hit_rate"] = total["hits"] / lookups if lookups else 0.0
-        self._mapper_stats = total
+        self._mapper_stats = sum_mapper_stats(
+            states[sid]["mapper"] for sid in range(self.shards))
 
     def _dismiss(self, handle: _WorkerHandle,
                  join_timeout: float = 5.0) -> None:

@@ -423,26 +423,6 @@ assert all(getattr(TraceSpec(), name) == value
            for name, value in _TRACE_DEFAULTS.items())
 
 
-def deal_sessions(trace: "list[TenantSession]",
-                  shards: int) -> "list[list[TenantSession]]":
-    """Deterministic round-robin deal of a trace across ``shards``.
-
-    Sessions are ranked by ``(arrival_cycle, session_id)`` — the same
-    total order every scheduler replays arrivals in — and dealt
-    card-style: rank ``r`` goes to shard ``r % shards``. The deal
-    depends only on the trace and the shard count, never on worker
-    count or timing, so it is safe inside the sharded coordinator's
-    determinism contract (it backs the ``dealing="static"`` mode).
-    """
-    if shards < 1:
-        raise ServingError(f"deal needs at least one shard, got {shards}")
-    ordered = sorted(trace, key=lambda s: (s.arrival_cycle, s.session_id))
-    dealt: list[list[TenantSession]] = [[] for _ in range(shards)]
-    for rank, session in enumerate(ordered):
-        dealt[rank % shards].append(session)
-    return dealt
-
-
 def generate_fleet_trace(seed: int,
                          sessions: int,
                          chips: int,

@@ -12,7 +12,7 @@ trace generator draws ``rng.choice(sorted(SERVING_MODEL_BUILDERS))``, so
 adding, removing or renaming an entry silently reshuffles every
 historical seed's trace (see the golden-hash regression test in
 ``tests/unit/test_trace_golden.py``). Extend per-experiment via
-``CostModel.register_model`` / ``ClusterScheduler.register_model``
+``CostModel.register_model`` / ``FleetScheduler.register_model``
 instead of editing this table.
 """
 

@@ -10,11 +10,8 @@ whole metrics object — counters and unrounded time-weighted integrals
 — to be equal, not just the rounded summaries.
 """
 
-from repro.arch.chip import Chip
 from repro.arch.config import sim_config
-from repro.core.hypervisor import Hypervisor
 from repro.serving import (
-    ClusterScheduler,
     DefragPolicy,
     FleetScheduler,
     generate_fleet_trace,
@@ -24,9 +21,8 @@ from repro.serving import (
 FREQUENCY = 500_000_000
 
 
-def run_cluster(policy):
-    chip = Chip(sim_config(16))
-    scheduler = ClusterScheduler(chip, Hypervisor(chip), policy=policy)
+def run_one_chip(policy):
+    scheduler = FleetScheduler([sim_config(16)], policy=policy)
     metrics = scheduler.serve(generate_trace(23, 30, max_cores=16))
     return metrics
 
@@ -45,12 +41,12 @@ def assert_identical(first, second):
     assert first.summary(FREQUENCY) == second.summary(FREQUENCY)
 
 
-class TestClusterSchedulerDeterminism:
+class TestOneChipDeterminism:
     def test_fcfs_streams_identical(self):
-        assert_identical(run_cluster("fcfs"), run_cluster("fcfs"))
+        assert_identical(run_one_chip("fcfs"), run_one_chip("fcfs"))
 
     def test_best_fit_streams_identical(self):
-        assert_identical(run_cluster("best_fit"), run_cluster("best_fit"))
+        assert_identical(run_one_chip("best_fit"), run_one_chip("best_fit"))
 
 
 class TestFleetSchedulerDeterminism:

@@ -187,14 +187,13 @@ def test_elastic_serving_churn_leaves_no_trace(seed):
     everything down: the scheduler-driven resize path leaks nothing."""
     from repro.arch.config import sim_config as cfg
     from repro.serving import (
-        ClusterScheduler,
         DEFAULT_SLO_MIX,
+        FleetScheduler,
         generate_trace,
     )
-    chip = Chip(cfg(16))
-    hypervisor = Hypervisor(chip)
-    scheduler = ClusterScheduler(chip, hypervisor, policy="priority",
-                                 elastic="shrink_then_preempt")
+    scheduler = FleetScheduler([cfg(16)], policy="priority",
+                               elastic="shrink_then_preempt")
+    hypervisor = scheduler.chips[0].hypervisor
     trace = generate_trace(seed, 30, max_cores=16,
                            mean_interarrival_cycles=2_000_000,
                            arrival_process="bursty",

@@ -28,7 +28,7 @@ from repro.cost import (
 )
 from repro.core.topology_mapping import MappingResult
 from repro.errors import ServingError
-from repro.serving import ClusterScheduler, TenantSession
+from repro.serving import FleetScheduler, TenantSession
 from repro.workloads.zoo import SERVING_MODEL_BUILDERS
 
 
@@ -366,8 +366,7 @@ class TestCachedTier:
 class TestSchedulerIntegration:
     @staticmethod
     def run_scheduler(cost_model):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, cost_model=cost_model)
+        scheduler = FleetScheduler([sim_config(16)], cost_model=cost_model)
         trace = [session(session_id=i, inferences=3) for i in range(3)]
         trace = [TenantSession(
             session_id=s.session_id, tenant=s.tenant,
@@ -384,14 +383,9 @@ class TestSchedulerIntegration:
             assert scheduler.cost_model.name == tier
 
     def test_scheduler_rejects_unknown_tier(self):
-        chip = Chip(sim_config(16))
         with pytest.raises(ServingError) as err:
-            ClusterScheduler(chip, cost_model="psychic")
+            FleetScheduler([sim_config(16)], cost_model="psychic")
         assert "'psychic'" in str(err.value)
-
-    def test_estimator_alias_is_cost_model(self):
-        scheduler, _metrics = self.run_scheduler("analytic")
-        assert scheduler.estimator is scheduler.cost_model
 
     def test_cached_and_analytic_complete_same_sessions(self):
         _s1, analytic = self.run_scheduler("analytic")
@@ -429,7 +423,6 @@ class TestScaledGuard:
 
 class TestFleetCostModel:
     def test_fleet_serves_with_cached_tier(self):
-        from repro.serving import FleetScheduler
         trace = [
             TenantSession(session_id=i, tenant=f"t{i}",
                           arrival_cycle=i * 1000, rows=2, cols=2,
@@ -440,11 +433,9 @@ class TestFleetCostModel:
         fleet = FleetScheduler.homogeneous(2, cores=16, cost_model="cached")
         metrics = fleet.serve(trace, limit=50_000_000_000)
         assert len(metrics.records) == 4
-        assert fleet.estimator is fleet.cost_model
         assert fleet.cost_model.cache_stats()["hits"] == 3
 
     def test_fleet_rejects_unknown_tier(self):
-        from repro.serving import FleetScheduler
         with pytest.raises(ServingError) as err:
             FleetScheduler.homogeneous(2, cores=16, cost_model="warp")
         assert "'warp'" in str(err.value)
@@ -452,34 +443,13 @@ class TestFleetCostModel:
 
 class TestRunArgumentValidation:
     def test_until_with_limit_rejected(self):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip)
+        scheduler = FleetScheduler([sim_config(16)])
         scheduler.submit([session()])
         with pytest.raises(ServingError, match="not both"):
             scheduler.run(until=100, limit=200)
 
     def test_fleet_until_with_limit_rejected(self):
-        from repro.serving import FleetScheduler
         fleet = FleetScheduler.homogeneous(2, cores=16)
         fleet.submit([session()])
         with pytest.raises(ServingError, match="not both"):
             fleet.run(until=100, limit=200)
-
-
-class TestEstimatorSetterCompat:
-    def test_assigning_estimator_swaps_cost_model(self):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip)
-        replacement = AnalyticCostModel()
-        scheduler.estimator = replacement  # pre-cost-engine idiom
-        assert scheduler.cost_model is replacement
-        scheduler.estimator = "cached"
-        assert isinstance(scheduler.cost_model, CachedCostModel)
-        with pytest.raises(ServingError):
-            scheduler.estimator = object()
-
-    def test_fleet_estimator_setter(self):
-        from repro.serving import FleetScheduler
-        fleet = FleetScheduler.homogeneous(2, cores=16)
-        fleet.estimator = "analytic"
-        assert isinstance(fleet.cost_model, AnalyticCostModel)

@@ -18,7 +18,6 @@ from repro.core.vnpu import VNpuSpec
 from repro.errors import AllocationError, HypervisorError, ServingError
 from repro.serving import (
     EVACUATION_POLICIES,
-    ClusterScheduler,
     FailureEvent,
     FailureSchedule,
     FleetScheduler,
@@ -428,12 +427,12 @@ class TestEvacuationPolicies:
 
 # -- preempt-at-departure race (same-cycle preempt + lifetime timeout) -------
 
-#: Both scheduler constructors: the one-chip ``ClusterScheduler`` runs the
-#: same lifecycle as a fleet, so these regressions cover both at once.
+#: A one-chip fleet and a multi-chip one: both run the same lifecycle, so
+#: these regressions cover the single-chip edge and the fleet at once.
 SCHEDULERS = pytest.mark.parametrize("build", [
-    lambda chips: ClusterScheduler(Chip(sim_config(16))),
+    lambda chips: FleetScheduler([sim_config(16)]),
     lambda chips: FleetScheduler.homogeneous(chips, cores=16),
-], ids=["cluster", "fleet"])
+], ids=["one_chip", "fleet"])
 
 
 class TestPreemptAtDepartureRace:

@@ -290,10 +290,9 @@ class TestCacheKeyAttributes:
 
 
 class TestMapperStatsSurfaces:
-    def test_cluster_scheduler_exposes_mapper_stats(self):
-        from repro.serving import ClusterScheduler, generate_trace
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip)
+    def test_one_chip_fleet_exposes_mapper_stats(self):
+        from repro.serving import FleetScheduler, generate_trace
+        scheduler = FleetScheduler([sim_config(16)])
         scheduler.serve(generate_trace(3, 10, max_cores=16))
         stats = scheduler.mapper_stats()
         assert stats["hits"] + stats["misses"] > 0

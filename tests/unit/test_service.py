@@ -57,7 +57,8 @@ def fleet_trace(seed=11, sessions=30, chips=4):
 
 def batch_summary(trace, config=CONFIG, chips=4):
     """The never-stopped oracle: batch submit + run, canonical bytes."""
-    fleet = FleetScheduler.homogeneous(chips, cores=16, config=config)
+    fleet = FleetScheduler.homogeneous(chips, cores=16,
+                                       **config.fleet_kwargs())
     fleet.submit(list(trace))
     fleet.run()
     frequency = fleet.chips[0].chip.config.frequency_hz

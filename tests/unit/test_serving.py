@@ -16,7 +16,6 @@ from repro.core.topology_mapping import TopologyMapper
 from repro.core.vnpu import VNpuSpec
 from repro.errors import ConfigError, HypervisorError, ServingError
 from repro.serving import (
-    ClusterScheduler,
     FleetScheduler,
     PendingSession,
     TenantSession,
@@ -210,11 +209,10 @@ class TestMetricsHelpers:
         assert fragmentation_ratio(mesh, {1, 2}) == pytest.approx(0.5)
 
 
-class TestClusterScheduler:
+class TestOneChipFleet:
     def make(self, policy="fcfs", cores=16):
-        chip = Chip(sim_config(cores))
-        hv = Hypervisor(chip)
-        return ClusterScheduler(chip, hv, policy=policy), hv
+        scheduler = FleetScheduler([sim_config(cores)], policy=policy)
+        return scheduler, scheduler.chips[0].hypervisor
 
     def test_serves_whole_trace_and_frees_everything(self):
         scheduler, hv = self.make()
@@ -261,28 +259,24 @@ class TestClusterScheduler:
         assert hv.mapper.cache_hits > 0
 
     def test_bad_strategy_fails_at_construction(self):
-        chip = Chip(sim_config(16))
         with pytest.raises(HypervisorError):
-            ClusterScheduler(chip, strategy="similiar")
+            FleetScheduler([sim_config(16)], strategy="similiar")
 
     def test_bad_policy_name_fails_at_construction(self):
-        chip = Chip(sim_config(16))
         with pytest.raises(ServingError):
-            ClusterScheduler(chip, policy="round-robin")
+            FleetScheduler([sim_config(16)], policy="round-robin")
 
     def test_policy_instance_validated_at_construction(self):
         """Instances get the same fail-fast treatment as names: anything
         that is not an AdmissionPolicy is rejected, naming the value."""
-        chip = Chip(sim_config(16))
         with pytest.raises(ServingError, match="42"):
-            ClusterScheduler(chip, policy=42)
+            FleetScheduler([sim_config(16)], policy=42)
         with pytest.raises(ServingError):
             # A policy *class* (not an instance) must be rejected too.
-            ClusterScheduler(chip, policy=FCFSPolicy)
+            FleetScheduler([sim_config(16)], policy=FCFSPolicy)
 
     def test_valid_policy_instance_accepted(self):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, policy=BestFitPolicy())
+        scheduler = FleetScheduler([sim_config(16)], policy=BestFitPolicy())
         assert scheduler.policy.name == "best_fit"
 
     def test_run_before_submit_raises(self):
@@ -307,9 +301,9 @@ class TestClusterScheduler:
             scheduler.submit([session(rows=6, cols=6)])
 
     def test_shared_hypervisor_serves_around_squatter(self, monkeypatch):
-        """The scheduler adopts a hypervisor that already hosts a vNPU it
-        did not admit: the trace is served on the remaining cores and
-        the squatter is never touched."""
+        """The chip's hypervisor already hosts a vNPU the scheduler did
+        not admit: the trace is served on the remaining cores and the
+        squatter is never touched."""
         free_at_samples = []
         sample = FleetScheduler._sample
 
@@ -318,13 +312,11 @@ class TestClusterScheduler:
             sample(fleet)
 
         monkeypatch.setattr(FleetScheduler, "_sample", spy)
-        chip = Chip(sim_config(16))
-        hv = Hypervisor(chip)
+        scheduler = FleetScheduler([sim_config(16)])
+        hv = scheduler.chips[0].hypervisor
         squatter = hv.create_vnpu(VNpuSpec("squatter", MeshShape(2, 2),
                                            32 * MB))
         cores = squatter.physical_cores
-        scheduler = ClusterScheduler(chip, hv)
-        assert scheduler.chips[0].hypervisor is hv
         trace = generate_trace(11, 25, max_cores=12)
         metrics = scheduler.serve(trace)
         assert len(metrics.records) == len(trace)

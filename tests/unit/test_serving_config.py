@@ -4,9 +4,10 @@ Three contracts:
 
 - ``ServingConfig.from_dict(cfg.to_dict())`` round-trips to an equal
   config for every registered policy/placement/elastic/cost-tier/
-  evacuation/strategy name (the wire contract), and schedulers built
-  from ``config=`` produce byte-identical results to the same knobs
-  passed as kwargs (the thin-pass-through contract).
+  evacuation/strategy name (the wire contract), schedulers built from
+  ``**config.fleet_kwargs()`` produce byte-identical results to the
+  same knobs passed as kwargs, and every config field is a
+  ``FleetScheduler`` keyword with the same default (the lockstep).
 - ``TraceSpec`` names the same trace as the equivalent
   ``generate_trace`` kwargs for every arrival process, round-trips
   through JSON, and conflicts loudly with explicit kwargs.
@@ -15,17 +16,19 @@ Three contracts:
   the registered choices.
 """
 
+import inspect
 import json
 
 import pytest
 
+from repro.arch.config import sim_config
 from repro.core.strategies import available_strategies
 from repro.cost import available_cost_models, coerce_cost_model
 from repro.errors import ServingError
 from repro.serving import (
+    CONFIG_KEYS,
     DEFAULT_SLO_MIX,
     EVACUATION_POLICIES,
-    ClusterScheduler,
     DefragPolicy,
     FailureEvent,
     FailureSchedule,
@@ -152,13 +155,14 @@ class TestServingConfigFailFast:
             ServingConfig(faults=[("chip", 5)])
 
 
-class TestConfigPassThrough:
+class TestSchedulerAcceptsConfig:
     def test_fleet_config_equals_kwargs(self):
         trace = generate_fleet_trace(3, 30, chips=2, max_cores=16,
                                      slo_mix=DEFAULT_SLO_MIX)
         config = ServingConfig(policy="priority", placement="best_fit",
                                elastic="shrink_then_preempt")
-        via_config = FleetScheduler.homogeneous(2, cores=16, config=config)
+        via_config = FleetScheduler.homogeneous(2, cores=16,
+                                                **config.fleet_kwargs())
         via_config.submit(list(trace))
         via_config.run()
         via_kwargs = FleetScheduler.homogeneous(
@@ -168,25 +172,22 @@ class TestConfigPassThrough:
         via_kwargs.run()
         assert summary_of(via_config) == summary_of(via_kwargs)
 
-    def test_explicit_kwargs_override_config(self):
-        config = ServingConfig(policy="priority", evacuation="kill_requeue")
-        fleet = FleetScheduler.homogeneous(2, cores=16, config=config,
-                                           policy="best_fit")
-        assert fleet.policy.name == "best_fit"  # explicit wins
-        assert fleet.evacuation == "kill_requeue"  # config fills the rest
+    def test_config_fields_lock_to_fleet_keywords(self):
+        # Every wire key is a FleetScheduler keyword with the config's
+        # default, so a default config builds the default fleet.
+        params = inspect.signature(FleetScheduler.__init__).parameters
+        defaults = ServingConfig()
+        for key in CONFIG_KEYS:
+            assert params[key].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            assert params[key].default == getattr(defaults, key), key
 
-    def test_default_valued_kwargs_defer_to_config(self):
-        config = ServingConfig(policy="priority")
-        fleet = FleetScheduler.homogeneous(2, cores=16, config=config,
-                                           policy="fcfs")
-        assert fleet.policy.name == "priority"
+    def test_fleet_has_no_config_parameter(self):
+        with pytest.raises(TypeError, match="config"):
+            FleetScheduler.homogeneous(2, cores=16, config=ServingConfig())
 
-    def test_cluster_scheduler_applies_full_config(self):
-        from repro.arch.chip import Chip
-        from repro.arch.config import sim_config
-
-        # A ClusterScheduler is a one-chip fleet: every knob applies,
-        # including the ones a single chip makes trivial.
+    def test_one_chip_fleet_applies_full_config(self):
+        # Every knob applies to a one-chip fleet, including the ones a
+        # single chip makes trivial.
         config = ServingConfig(
             policy="priority", placement="best_fit", strategy="exact",
             defrag=DefragPolicy(fragmentation_threshold=0.4),
@@ -195,7 +196,7 @@ class TestConfigPassThrough:
                 FailureEvent(cycle=1_000, chip_index=0, kind="hbm",
                              duration_cycles=5_000),)),
             evacuation="kill_requeue")
-        scheduler = ClusterScheduler(Chip(sim_config(16)), config=config)
+        scheduler = FleetScheduler([sim_config(16)], **config.fleet_kwargs())
         assert scheduler.chip_count == 1
         assert scheduler.policy.name == "priority"
         assert scheduler.placement.name == "best_fit"
@@ -206,10 +207,6 @@ class TestConfigPassThrough:
         assert scheduler.faults is config.faults
         assert scheduler.metrics.faults_enabled
         assert scheduler.evacuation == "kill_requeue"
-        explicit = ClusterScheduler(Chip(sim_config(16)), config=config,
-                                    policy="best_fit")
-        assert explicit.policy.name == "best_fit"  # explicit still wins
-        assert explicit.placement.name == "best_fit"
 
 
 class TestTraceSpec:

@@ -1,18 +1,20 @@
 """Sharded multi-process fleet simulation.
 
-Covers :mod:`repro.serving.shard`: the chip partition and trace deal,
-fault-schedule sharding, the epoch-fence coordinator's determinism
-contract (sharded-vs-single-process equivalence across seeds, worker
-counts and fault/elastic variants), the deferral and spill paths, and
-the worker-crash recovery mode (supervised respawn, summary equal to
-the oracle — the full crash matrix lives in ``test_recovery.py``).
+Covers :mod:`repro.serving.shard`: the chip partition, fault-schedule
+sharding, fail-fast option validation, the epoch-fence coordinator's
+determinism contract (sharded-vs-single-process equivalence across
+seeds, worker counts and fault/elastic variants), the deferral and
+spill paths, and the worker-crash recovery mode (supervised respawn,
+summary equal to the oracle — the full crash matrix lives in
+``test_recovery.py``).
 """
 
 import json
+import multiprocessing
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import HypervisorError, ServingError
 from repro.serving import (
     DEFAULT_SLO_MIX,
     AdmitOrder,
@@ -22,7 +24,6 @@ from repro.serving import (
     FailureSchedule,
     FleetScheduler,
     ShardedFleetScheduler,
-    deal_sessions,
     generate_failure_schedule,
     generate_fleet_trace,
     partition_chips,
@@ -52,7 +53,7 @@ def canonical(summary):
     return json.dumps(summary, sort_keys=True)
 
 
-# -- partition / deal units --------------------------------------------------
+# -- partition units ---------------------------------------------------------
 
 class TestPartitionChips:
     def test_even_split(self):
@@ -73,25 +74,6 @@ class TestPartitionChips:
     def test_zero_shards_rejected(self):
         with pytest.raises(ServingError, match="at least one shard"):
             partition_chips(4, 0)
-
-
-class TestDealSessions:
-    def test_round_robin_by_arrival_rank(self):
-        trace = fleet_trace(3, sessions=9)
-        dealt = deal_sessions(trace, 3)
-        ordered = sorted(trace, key=lambda s: (s.arrival_cycle, s.session_id))
-        for rank, session in enumerate(ordered):
-            assert session in dealt[rank % 3]
-
-    def test_deal_partitions_the_trace(self):
-        trace = fleet_trace(11, sessions=10)
-        dealt = deal_sessions(trace, 4)
-        ids = sorted(s.session_id for part in dealt for s in part)
-        assert ids == sorted(s.session_id for s in trace)
-
-    def test_zero_shards_rejected(self):
-        with pytest.raises(ServingError, match="at least one shard"):
-            deal_sessions(fleet_trace(3, sessions=2), 0)
 
 
 class TestPartitionSchedule:
@@ -153,10 +135,6 @@ class TestPartitionSchedule:
 # -- coordinator validation --------------------------------------------------
 
 class TestCoordinatorValidation:
-    def test_bad_dealing_mode(self):
-        with pytest.raises(ServingError, match="unknown dealing mode"):
-            ShardedFleetScheduler.homogeneous(4, cores=16, dealing="hash")
-
     def test_bad_epoch(self):
         with pytest.raises(ServingError, match="epoch_cycles"):
             ShardedFleetScheduler.homogeneous(4, cores=16, epoch_cycles=0)
@@ -164,6 +142,30 @@ class TestCoordinatorValidation:
     def test_bad_policy_fails_before_any_worker_starts(self):
         with pytest.raises(ServingError, match="unknown admission policy"):
             ShardedFleetScheduler.homogeneous(4, cores=16, policy="lifo")
+
+    @pytest.mark.parametrize("option,error,match", [
+        ({"elastic": "shrinkk"}, ServingError, "shrinkk"),
+        # Strategies keep their own registry's error type, as they do
+        # for ServingConfig and FleetScheduler.
+        ({"strategy": "similiar"}, HypervisorError, "similiar"),
+        ({"defrag": 0.2}, ServingError, "DefragPolicy"),
+        ({"placment": "best_fit"}, ServingError, "placment"),
+    ], ids=["elastic", "strategy", "defrag", "unknown-key"])
+    def test_bad_slice_option_fails_at_construction(self, option, error,
+                                                    match):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(error, match=match):
+            ShardedFleetScheduler.homogeneous(4, cores=16, shards=2,
+                                              workers=2, **option)
+        assert set(multiprocessing.active_children()) == before
+
+    def test_slice_options_are_one_serving_config(self):
+        fleet = ShardedFleetScheduler.homogeneous(
+            4, cores=16, shards=2, policy="priority",
+            elastic="shrink_then_preempt")
+        assert fleet.config.policy == "priority"
+        assert fleet.config.elastic == "shrink_then_preempt"
+        assert fleet.config.faults is None
 
     def test_crash_schedule_requires_workers(self):
         crashes = CrashSchedule((CrashEvent("crash", shard=0),))
@@ -219,13 +221,6 @@ class TestShardedEquivalence:
         summary = sharded_summary(trace, workers=workers, faults=faults)
         assert canonical(summary) == oracle
         assert "faults" in summary
-
-    def test_static_dealing_matches_oracle(self):
-        trace = fleet_trace(11)
-        oracle = canonical(sharded_summary(trace, workers=1,
-                                           dealing="static"))
-        assert canonical(sharded_summary(trace, workers=4,
-                                         dealing="static")) == oracle
 
     def test_shard_count_changes_results_but_not_worker_count(self):
         # Sharding is part of the experiment definition (partition +

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.arch.chip import Chip
 from repro.arch.config import MB, sim_config
-from repro.core.hypervisor import Hypervisor
 from repro.errors import ServingError
 from repro.serving import (
     BEST_EFFORT,
     DEFAULT_SLO_MIX,
     GOLD,
     SILVER,
-    ClusterScheduler,
     FleetScheduler,
     PendingSession,
     SLOClass,
@@ -195,9 +192,7 @@ class TestPriorityStarvation:
     def test_starvation_case_end_to_end(self):
         """Under the old fits-only policy the 16-core gold tenant admits
         last; with line-holding it admits as soon as the chip drains."""
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, Hypervisor(chip),
-                                     policy="priority")
+        scheduler = FleetScheduler([sim_config(16)], policy="priority")
         trace = [session(0, arrival=1, rows=4, cols=4, priority=2,
                          inferences=5)]
         trace += [session(i, arrival=2 + i, rows=1, cols=2, priority=0,
@@ -235,8 +230,7 @@ class TestSLOMetrics:
         assert SLOMetrics.from_records(records, 1.0).digest() == {}
 
     def test_summary_threads_slo_block(self):
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, Hypervisor(chip))
+        scheduler = FleetScheduler([sim_config(16)])
         metrics = scheduler.serve(generate_trace(5, 10, max_cores=16))
         slo = metrics.summary(500_000_000)["slo"]
         assert set(slo) == {"classes", "grows", "preemptions",
@@ -247,18 +241,15 @@ class TestSLOMetrics:
 
 
 def elastic_cluster(policy="priority", elastic="shrink_then_preempt"):
-    chip = Chip(sim_config(16))
-    hypervisor = Hypervisor(chip)
-    scheduler = ClusterScheduler(chip, hypervisor, policy=policy,
-                                 elastic=elastic)
-    return scheduler, hypervisor
+    scheduler = FleetScheduler([sim_config(16)], policy=policy,
+                               elastic=elastic)
+    return scheduler, scheduler.chips[0].hypervisor
 
 
 class TestElasticScheduling:
     def test_bad_elastic_name_fails_at_construction(self):
-        chip = Chip(sim_config(16))
         with pytest.raises(ServingError):
-            ClusterScheduler(chip, elastic="evict-everyone")
+            FleetScheduler([sim_config(16)], elastic="evict-everyone")
 
     def test_gold_preempts_best_effort_tenant(self):
         """A blocked gold arrival evicts a resident best-effort tenant
@@ -411,10 +402,8 @@ class TestElasticScheduling:
         topology-blocked (here: strategy=\"exact\" with no isomorphic
         2x2 in the remaining L-shape), relief must spend its budget and
         stop instead of evicting the victim forever."""
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, Hypervisor(chip),
-                                     policy="priority", strategy="exact",
-                                     elastic="preempt")
+        scheduler = FleetScheduler([sim_config(16)], policy="priority",
+                                   strategy="exact", elastic="preempt")
         trace = [
             session(0, arrival=1, rows=3, cols=3, slo="gold",
                     inferences=500),
@@ -430,9 +419,8 @@ class TestElasticScheduling:
         """elastic=None never squeezes anyone — the pre-elastic schedule
         (pinned separately by the unchanged BENCH artifacts and replay
         determinism tests) stays in force."""
-        chip = Chip(sim_config(16))
-        scheduler = ClusterScheduler(chip, Hypervisor(chip),
-                                     policy="fcfs", elastic=None)
+        scheduler = FleetScheduler([sim_config(16)], policy="fcfs",
+                                   elastic=None)
         metrics = scheduler.serve(generate_trace(23, 30, max_cores=16))
         assert metrics.preemptions == 0
         assert metrics.shrinks == 0 and metrics.grows == 0

@@ -181,3 +181,44 @@ class TestSnapshotFormat:
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(ServingError, match="snapshot format"):
             ControlPlane.restore(str(path), autostart=False)
+
+
+class TestRestoreAuthority:
+    """The snapshot's faults, evacuation and cost tier win over kwargs:
+    agreeing kwargs are accepted, contradicting ones raise."""
+
+    @staticmethod
+    def paused_state():
+        faults = generate_failure_schedule(3, chips=2,
+                                           horizon_cycles=40_000_000,
+                                           failures=2)
+        fleet = FleetScheduler.homogeneous(2, cores=16, faults=faults,
+                                           evacuation="kill_requeue",
+                                           cost_model="cached")
+        fleet.submit(fleet_trace(sessions=10, chips=2))
+        fleet.run(until=5_000_000)
+        return fleet.snapshot(), faults
+
+    def test_snapshot_fills_the_recorded_knobs(self):
+        state, faults = self.paused_state()
+        restored = FleetScheduler.restore(state)
+        assert restored.faults == faults
+        assert restored.evacuation == "kill_requeue"
+        assert restored.cost_model.name == "cached"
+
+    def test_agreeing_kwargs_are_accepted(self):
+        state, faults = self.paused_state()
+        restored = FleetScheduler.restore(
+            state, faults=faults, evacuation="kill_requeue",
+            cost_model="cached")
+        assert restored.cost_model.name == "cached"
+
+    @pytest.mark.parametrize("key,value", [
+        ("faults", None),
+        ("evacuation", "evacuate"),
+        ("cost_model", "analytic"),
+    ])
+    def test_contradicting_kwarg_raises(self, key, value):
+        state, _ = self.paused_state()
+        with pytest.raises(ServingError, match=f"restore got {key}="):
+            FleetScheduler.restore(state, **{key: value})
