@@ -40,6 +40,8 @@ through :func:`repro.cost.charges.resize_cycles`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.arch.chip import Chip
 from repro.core.routing_table import (
     RoutingTable,
@@ -90,7 +92,9 @@ class Hypervisor:
     behind ``allocated_cores`` plus an ``occupancy_version`` bumped on
     every change. Reads are O(1). Derived state keys on it: the fleet's
     fragmentation memo on the version, the mapper's free-set memo on
-    the frozenset itself.
+    the frozenset itself. State that spans several chips cannot poll
+    every version cheaply, so ``on_change`` (when set) is called after
+    every occupancy or health change.
     """
 
     def __init__(self, chip: Chip, strategy: str = "similar",
@@ -112,6 +116,9 @@ class Hypervisor:
         self._allocated: frozenset[int] = frozenset()
         #: Bumped whenever ``allocated_cores`` changes.
         self.occupancy_version = 0
+        #: Called with no arguments after every occupancy or health
+        #: change (the fleet refreshes its per-chip free-core gauge).
+        self.on_change: Callable[[], None] | None = None
         self._next_vmid = 1
         self._healthy = True
 
@@ -151,10 +158,15 @@ class Hypervisor:
     # -- health lifecycle --------------------------------------------------
     def mark_failed(self) -> None:
         """Enter degraded mode: new placements fail fast, drains allowed."""
-        self._healthy = False
+        self._set_healthy(False)
 
     def mark_recovered(self) -> None:
-        self._healthy = True
+        self._set_healthy(True)
+
+    def _set_healthy(self, healthy: bool) -> None:
+        self._healthy = healthy
+        if self.on_change is not None:
+            self.on_change()
 
     def _require_healthy(self, operation: str) -> None:
         if not self._healthy:
@@ -195,7 +207,7 @@ class Hypervisor:
         for vmid, spec, mapping in state["vnpus"]:
             self._provision(spec, mapping, vmid=vmid)
         self._next_vmid = state["next_vmid"]
-        self._healthy = state["healthy"]
+        self._set_healthy(state["healthy"])
 
     # -- lifecycle -----------------------------------------------------------
     def create_vnpu(self, spec: VNpuSpec,
@@ -407,6 +419,8 @@ class Hypervisor:
     def _set_allocated(self, cores: frozenset[int]) -> None:
         self._allocated = cores
         self.occupancy_version += 1
+        if self.on_change is not None:
+            self.on_change()
 
     def _migration_cycles(self, resident_bytes: int,
                           destination: "Hypervisor",

@@ -46,6 +46,7 @@ from repro.serving.fleet import (
     FleetChip,
     FleetScheduler,
     LeastLoadedPlacement,
+    PendingQueue,
     PendingSession,
     PlacementPolicy,
     PowerOfTwoPlacement,
@@ -164,6 +165,7 @@ __all__ = [
     "MODEL_BUILDERS",
     "MODES",
     "OPS",
+    "PendingQueue",
     "PendingSession",
     "PlacementPolicy",
     "PowerOfTwoPlacement",

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import pickle
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.arch.chip import Chip
 from repro.arch.config import SoCConfig, sim_config
@@ -94,10 +97,12 @@ class PendingSession:
     session was elastically evicted back into the queue.
 
     Entries compare by identity (``eq=False``): the queue holds each
-    entry once, and ``list.remove``/``in`` must find *that* object, not
-    a field-equal twin. ``slo`` and ``priority_key`` are derived from
-    the session once at construction, so admission never re-resolves
-    the SLO registry per queued entry per decision.
+    entry once, and removal and ``in`` must find *that* object, not a
+    field-equal twin. ``slo``, ``arrival_key`` and ``priority_key`` are
+    derived from the session once at construction, so admission never
+    re-resolves the SLO registry per queued entry per decision. While
+    an entry is queued, its flags are set through its
+    :class:`PendingQueue`, which tracks the flagged entries.
     """
 
     session: TenantSession
@@ -125,6 +130,9 @@ class PendingSession:
     defrag_exhausted: bool = False
     #: The session's SLO class (:func:`~repro.serving.slo.session_slo`).
     slo: SLOClass = field(init=False)
+    #: Arrival order, the queue's own order: ``(arrival_cycle,
+    #: session_id)``.
+    arrival_key: tuple[int, int] = field(init=False)
     #: What :class:`~repro.serving.policies.PriorityPolicy` ranks by:
     #: highest effective priority first, then arrival order.
     priority_key: tuple[int, int, int] = field(init=False)
@@ -132,35 +140,182 @@ class PendingSession:
     def __post_init__(self) -> None:
         session = self.session
         self.slo = session_slo(session)
+        self.arrival_key = (session.arrival_cycle, session.session_id)
         self.priority_key = (-effective_priority(session),
-                             session.arrival_cycle, session.session_id)
+                             *self.arrival_key)
 
 
-def requeue_in_arrival_order(pending: "list[PendingSession]",
-                             session: TenantSession,
-                             preemptions: int,
-                             evacuations: int = 0,
-                             kills: int = 0,
-                             lost_service_cycles: int = 0) -> PendingSession:
-    """Put a preempted (or fault-killed) session back in the queue *by
-    arrival cycle*.
+class _SortedRun:
+    """Entries kept sorted by a key; equal keys stay in insertion order."""
 
-    FCFS walks list order, so a tail append would silently cost the
-    victim its place in line on top of the restarted service. The
-    fault-tolerance counters ride along so a session killed by a chip
-    failure keeps its history through re-admission.
+    __slots__ = ("keys", "entries")
+
+    def __init__(self) -> None:
+        self.keys: list[tuple] = []
+        self.entries: list[PendingSession] = []
+
+    def insert(self, key: tuple, entry: PendingSession) -> None:
+        index = bisect_right(self.keys, key)
+        self.keys.insert(index, key)
+        self.entries.insert(index, entry)
+
+    def remove(self, key: tuple, entry: PendingSession) -> None:
+        # Field-equal twins share a key: find *this* object in the run.
+        index = bisect_left(self.keys, key)
+        while self.entries[index] is not entry:
+            index += 1
+        del self.keys[index]
+        del self.entries[index]
+
+
+def _has_flag(entry: PendingSession) -> bool:
+    return entry.blocked or entry.relief_exhausted or entry.defrag_exhausted
+
+
+class PendingQueue:
+    """The fleet's waiting queue, indexed so admission never scans it.
+
+    Iterating yields the entries in arrival order — by
+    ``(arrival_cycle, session_id)``, field-equal twins in insertion
+    order. FCFS, best-fit and custom policies walk that order, and
+    snapshots record it. Next to it the queue keeps what the admit loop
+    reads instead of scanning:
+
+    - :meth:`by_priority` — the entries ordered by ``priority_key``, so
+      :class:`~repro.serving.policies.PriorityPolicy` stops at the first
+      unblocked one;
+    - :meth:`by_class` — one arrival-ordered run per SLO class, walked
+      by the elastic-relief pick;
+    - a session-id index (:meth:`find`, ``in``);
+    - the flagged entries (``blocked``, ``relief_exhausted`` or
+      ``defrag_exhausted`` set), so :meth:`unblock` and
+      :meth:`reset_budgets` touch only those.
+
+    Flags are set through :meth:`block`, :meth:`exhaust_relief` and
+    :meth:`exhaust_defrag`; an entry added with flags already set (a
+    restored snapshot) is tracked on :meth:`add`.
     """
-    requeued = PendingSession(session, preemptions=preemptions,
-                              evacuations=evacuations, kills=kills,
-                              lost_service_cycles=lost_service_cycles)
-    key = (session.arrival_cycle, session.session_id)
-    index = len(pending)
-    for i, entry in enumerate(pending):
-        if (entry.session.arrival_cycle, entry.session.session_id) > key:
-            index = i
-            break
-    pending.insert(index, requeued)
-    return requeued
+
+    __slots__ = ("_arrival", "_priority", "_classes", "_by_id", "_flagged")
+
+    def __init__(self, entries: "Iterable[PendingSession]" = ()) -> None:
+        self._arrival = _SortedRun()
+        self._priority = _SortedRun()
+        self._classes: dict[SLOClass, _SortedRun] = {}
+        self._by_id: dict[int, list[PendingSession]] = {}
+        self._flagged: list[PendingSession] = []
+        for entry in entries:
+            self.add(entry)
+
+    def __len__(self) -> int:
+        return len(self._arrival.entries)
+
+    def __iter__(self) -> "Iterator[PendingSession]":
+        return iter(self._arrival.entries)
+
+    def __getitem__(self, index: int) -> PendingSession:
+        return self._arrival.entries[index]
+
+    def __contains__(self, entry: PendingSession) -> bool:
+        twins = self._by_id.get(entry.session.session_id, ())
+        return any(twin is entry for twin in twins)
+
+    def add(self, entry: PendingSession) -> None:
+        """Queue ``entry`` at its arrival position (after equal keys)."""
+        self._arrival.insert(entry.arrival_key, entry)
+        self._priority.insert(entry.priority_key, entry)
+        run = self._classes.get(entry.slo)
+        if run is None:
+            run = self._classes[entry.slo] = _SortedRun()
+        run.insert(entry.arrival_key, entry)
+        self._by_id.setdefault(entry.session.session_id, []).append(entry)
+        if _has_flag(entry):
+            self._flagged.append(entry)
+
+    def requeue(self, session: TenantSession, preemptions: int,
+                evacuations: int = 0, kills: int = 0,
+                lost_service_cycles: int = 0) -> PendingSession:
+        """Put a preempted (or fault-killed) session back *by arrival
+        cycle*.
+
+        FCFS walks arrival order, so a tail append would silently cost
+        the victim its place in line on top of the restarted service.
+        The fault-tolerance counters ride along so a session killed by
+        a chip failure keeps its history through re-admission.
+        """
+        entry = PendingSession(session, preemptions=preemptions,
+                               evacuations=evacuations, kills=kills,
+                               lost_service_cycles=lost_service_cycles)
+        self.add(entry)
+        return entry
+
+    def remove(self, entry: PendingSession) -> None:
+        """Drop exactly ``entry`` (not a field-equal twin)."""
+        session_id = entry.session.session_id
+        twins = self._by_id.get(session_id, [])
+        for index, twin in enumerate(twins):
+            if twin is entry:
+                break
+        else:
+            raise ValueError(f"session {session_id} entry is not queued")
+        del twins[index]
+        if not twins:
+            del self._by_id[session_id]
+        self._arrival.remove(entry.arrival_key, entry)
+        self._priority.remove(entry.priority_key, entry)
+        self._classes[entry.slo].remove(entry.arrival_key, entry)
+        if _has_flag(entry):
+            self._flagged.remove(entry)
+
+    def find(self, session_id: int) -> PendingSession | None:
+        """The first-queued entry of ``session_id`` (``None`` if absent)."""
+        twins = self._by_id.get(session_id)
+        return twins[0] if twins else None
+
+    def by_priority(self) -> "Iterator[PendingSession]":
+        """Entries by ``priority_key``: highest priority, then oldest."""
+        return iter(self._priority.entries)
+
+    def by_class(self) -> "Iterator[tuple[SLOClass, list[PendingSession]]]":
+        """Each SLO class with its entries in arrival order."""
+        return ((slo, run.entries) for slo, run in self._classes.items())
+
+    # -- flags ---------------------------------------------------------------
+    def block(self, entry: PendingSession) -> None:
+        """Park ``entry`` until the free set changes."""
+        self._track(entry)
+        entry.blocked = True
+
+    def exhaust_relief(self, entry: PendingSession) -> None:
+        self._track(entry)
+        entry.relief_exhausted = True
+
+    def exhaust_defrag(self, entry: PendingSession) -> None:
+        self._track(entry)
+        entry.defrag_exhausted = True
+
+    def _track(self, entry: PendingSession) -> None:
+        if not _has_flag(entry):
+            self._flagged.append(entry)
+
+    def unblock(self) -> None:
+        """Clear ``blocked``: the free set changed, parked placements
+        get a new try. Spent relief and defrag budgets stay spent."""
+        kept = []
+        for entry in self._flagged:
+            entry.blocked = False
+            if entry.relief_exhausted or entry.defrag_exhausted:
+                kept.append(entry)
+        self._flagged = kept
+
+    def reset_budgets(self) -> None:
+        """Clear every flag: ``blocked`` and the relief and defrag
+        budgets (a departure, failure or recovery changed the fleet)."""
+        for entry in self._flagged:
+            entry.blocked = False
+            entry.relief_exhausted = False
+            entry.defrag_exhausted = False
+        self._flagged = []
 
 
 def validate_session(session: TenantSession, models, largest_cores: int,
@@ -473,9 +628,14 @@ class FleetScheduler:
         #: One mapper memo object per distinct chip config, shared by
         #: every hypervisor built from that config.
         self._shape_memos: dict[SoCConfig, ShapeMemos] = {}
+        #: Free cores per chip, 0 while the chip is unhealthy: kept
+        #: current by each hypervisor's ``on_change``, so the admit loop
+        #: reads the most free healthy chip without polling every chip.
+        self._free_by_chip: list[int] = []
         self.chips: list[FleetChip] = [
             self._build_chip(index, config)
             for index, config in enumerate(configs)]
+        self.core_count = sum(fc.chip.core_count for fc in self.chips)
         self.policy = coerce_policy(policy)
         self.placement = coerce_placement(placement)
         if strategy is not None:
@@ -495,7 +655,7 @@ class FleetScheduler:
         self.metrics.faults_enabled = faults is not None
         #: The fidelity tier pricing every session's residency.
         self.cost_model = coerce_cost_model(cost_model)
-        self._pending: list[PendingSession] = []
+        self._pending = PendingQueue()
         #: (chip index, vmid) -> active session.
         self._active: dict[tuple[int, int], ActiveFleetSession] = {}
         self._trace_loaded = False
@@ -510,7 +670,14 @@ class FleetScheduler:
         chip = Chip(config, sim=self.sim)
         hypervisor = Hypervisor(chip, memos=self._shape_memos.get(config))
         self._shape_memos.setdefault(config, hypervisor.mapper.memos)
-        return FleetChip(index, chip, hypervisor)
+        fleet_chip = FleetChip(index, chip, hypervisor)
+        self._free_by_chip.append(fleet_chip.free_cores())
+        hypervisor.on_change = partial(self._note_chip_change, fleet_chip)
+        return fleet_chip
+
+    def _note_chip_change(self, fleet_chip: FleetChip) -> None:
+        self._free_by_chip[fleet_chip.index] = (
+            fleet_chip.free_cores() if fleet_chip.healthy else 0)
 
     @classmethod
     def homogeneous(cls, chips: int, cores: int = 36,
@@ -533,10 +700,6 @@ class FleetScheduler:
     @property
     def active_count(self) -> int:
         return len(self._active)
-
-    @property
-    def core_count(self) -> int:
-        return sum(fc.chip.core_count for fc in self.chips)
 
     def free_core_count(self) -> int:
         return sum(fc.free_cores() for fc in self.chips)
@@ -606,20 +769,19 @@ class FleetScheduler:
         if not self._trace_loaded:
             raise ServingError("begin_stream() or submit() before enqueue()")
         self._validate(session)
-        requeue_in_arrival_order(
-            self._pending, session, preemptions,
-            evacuations=evacuations, kills=kills,
-            lost_service_cycles=lost_service_cycles)
+        self._pending.requeue(session, preemptions, evacuations=evacuations,
+                              kills=kills,
+                              lost_service_cycles=lost_service_cycles)
         self._admit_loop()
         self._sample()
 
     def withdraw(self, session_id: int) -> PendingSession:
         """Remove a still-pending session (a spill leaving this shard)."""
-        for entry in self._pending:
-            if entry.session.session_id == session_id:
-                self._pending.remove(entry)
-                return entry
-        raise ServingError(f"session {session_id} is not pending here")
+        entry = self._pending.find(session_id)
+        if entry is None:
+            raise ServingError(f"session {session_id} is not pending here")
+        self._pending.remove(entry)
+        return entry
 
     def run(self, until: int | None = None,
             limit: int | None = None) -> int:
@@ -740,7 +902,7 @@ class FleetScheduler:
         fleet.metrics = state["metrics"]
         for (session, preemptions, evacuations, kills, lost, blocked,
              relief_exhausted, defrag_exhausted) in state["pending"]:
-            fleet._pending.append(PendingSession(
+            fleet._pending.add(PendingSession(
                 session, blocked=blocked, preemptions=preemptions,
                 evacuations=evacuations, kills=kills,
                 lost_service_cycles=lost, relief_exhausted=relief_exhausted,
@@ -771,7 +933,7 @@ class FleetScheduler:
             if gap > 0:
                 yield self.sim.timeout(gap)
             self._arrival_index += 1
-            self._pending.append(PendingSession(session))
+            self._pending.add(PendingSession(session))
             self._admit_loop()
             self._sample()
 
@@ -803,10 +965,7 @@ class FleetScheduler:
         self._depart(active)
         # A departure changes the free set: parked placements get a new
         # try, and spent relief rounds may be worth another shot.
-        for entry in self._pending:
-            entry.blocked = False
-            entry.relief_exhausted = False
-            entry.defrag_exhausted = False
+        self._pending.reset_budgets()
         self._admit_loop()
         self._grow_back()
         self._sample()
@@ -814,14 +973,12 @@ class FleetScheduler:
     # -- admission ---------------------------------------------------------
     def _admit_loop(self) -> None:
         while True:
-            most_free = max(
-                (fc.free_cores() for fc in self.chips if fc.healthy),
-                default=0)
+            most_free = max(self._free_by_chip)  # on any healthy chip
             entry = self.policy.select(self._pending, most_free)
             if entry is not None:
                 self._try_admit(entry)
                 continue
-            if not self._elastic_relief():
+            if not self._elastic_relief(most_free):
                 return
 
     def _try_admit(self, entry: PendingSession) -> None:
@@ -837,15 +994,14 @@ class FleetScheduler:
             return
         if (self.defrag is not None and not entry.defrag_exhausted
                 and self._defragment(entry.session)):
-            for pending in self._pending:
-                pending.blocked = False
+            self._pending.unblock()
             if self._place(entry):
                 return
             # One defrag round per entry per free-set change: what the
             # migrations could not open up, more migrations at this
             # instant will not either.
-            entry.defrag_exhausted = True
-        entry.blocked = True
+            self._pending.exhaust_defrag(entry)
+        self._pending.block(entry)
 
     def _refused_by_idle_chip(self, session: TenantSession) -> bool:
         """Was the failed placement hopeless, not just crowded out?
@@ -955,7 +1111,7 @@ class FleetScheduler:
         ))
 
     # -- elastic enforcement ------------------------------------------------
-    def _elastic_relief(self) -> bool:
+    def _elastic_relief(self, most_free: int) -> bool:
         """Shrink/preempt lower tiers for the neediest blocked arrival.
 
         Chip-local: the arriving session needs its cores on *one* chip,
@@ -969,7 +1125,7 @@ class FleetScheduler:
         """
         if self.elastic is None:
             return False
-        entry = self._relief_entry()
+        entry = self._relief_entry(most_free)
         if entry is None:
             return False
         tier = entry.slo.tier
@@ -986,8 +1142,7 @@ class FleetScheduler:
                            if self._execute_action(fleet_chip, action))
             if executed == 0:
                 continue
-            for pending in self._pending:
-                pending.blocked = False
+            self._pending.unblock()
             # The squeeze happened on *this* entry's behalf: place it
             # first, before any queue-mate (under fcfs/best_fit a
             # lower-tier head would otherwise consume the just-freed
@@ -997,25 +1152,39 @@ class FleetScheduler:
             # fix right now.
             self._try_admit(entry)
             if entry in self._pending:
-                entry.relief_exhausted = True
+                self._pending.exhaust_relief(entry)
             return True
         return False
 
-    def _relief_entry(self) -> PendingSession | None:
+    def _relief_entry(self, most_free: int) -> PendingSession | None:
         """The neediest pending entry relief is due for: highest tier
-        first, then arrival order (``None`` when nobody qualifies)."""
-        most_free = max(
-            (fc.free_cores() for fc in self.chips if fc.healthy),
-            default=0)
+        first, then arrival order (``None`` when nobody qualifies).
+
+        An entry qualifies when its budget is unspent, it cannot go
+        (blocked, or larger than ``most_free``, the most free cores on
+        any healthy chip) and its class says relief is due. Each SLO
+        class is walked oldest first and the walk stops at the first
+        entry relief is not due for: ``relief_due`` is monotone in the
+        waiting time, so no younger entry of that class is due either.
+        Classes are walked, not tiers — a custom class may share a tier
+        with a different delay target.
+        """
         now = self.sim.now
-        return min(
-            (e for e in self._pending
-             if not e.relief_exhausted
-             and (e.blocked or e.session.core_count > most_free)
-             and e.slo.relief_due(now - e.session.arrival_cycle)),
-            key=lambda e: (-e.slo.tier,
-                           e.session.arrival_cycle, e.session.session_id),
-            default=None)
+        best = best_key = None
+        for slo, entries in self._pending.by_class():
+            if slo.tier <= 0:
+                continue  # tier 0 never squeezes anyone
+            for entry in entries:
+                if not slo.relief_due(now - entry.session.arrival_cycle):
+                    break
+                if not entry.relief_exhausted and (
+                        entry.blocked
+                        or entry.session.core_count > most_free):
+                    key = (-slo.tier, *entry.arrival_key)
+                    if best is None or key < best_key:
+                        best, best_key = entry, key
+                    break
+        return best
 
     def _victims(self, fleet_chip: FleetChip,
                  below_tier: int) -> list[ElasticVictim]:
@@ -1075,8 +1244,8 @@ class FleetScheduler:
         del self._active[(active.chip_index, active.vmid)]
         active.preempted = True
         self.metrics.preemptions += 1
-        requeue_in_arrival_order(
-            self._pending, active.session, active.preemptions + 1,
+        self._pending.requeue(
+            active.session, active.preemptions + 1,
             evacuations=active.evacuations, kills=active.kills,
             lost_service_cycles=active.lost_service_cycles)
         return True
@@ -1229,10 +1398,7 @@ class FleetScheduler:
         for active in residents:
             self._evacuate(fleet_chip, active, hard=(event.kind == "chip"))
         # Evacuations and kills changed free sets and the queue alike.
-        for pending in self._pending:
-            pending.blocked = False
-            pending.relief_exhausted = False
-            pending.defrag_exhausted = False
+        self._pending.reset_budgets()
         self._admit_loop()
         self._sample()
 
@@ -1250,10 +1416,7 @@ class FleetScheduler:
         self.chips[event.chip_index].hypervisor.mark_recovered()
         self.metrics.record_chip_recovery(self.sim.now, event.chip_index,
                                           event.kind)
-        for pending in self._pending:
-            pending.blocked = False
-            pending.relief_exhausted = False
-            pending.defrag_exhausted = False
+        self._pending.reset_budgets()
         self._admit_loop()
         self._grow_back()
         self._sample()
@@ -1301,8 +1464,8 @@ class FleetScheduler:
         source.hypervisor.kill_vnpu(active.vmid)
         del self._active[(active.chip_index, active.vmid)]
         active.preempted = True
-        requeue_in_arrival_order(
-            self._pending, active.session, active.preemptions + 1,
+        self._pending.requeue(
+            active.session, active.preemptions + 1,
             evacuations=active.evacuations, kills=active.kills + 1,
             lost_service_cycles=active.lost_service_cycles + lost)
         self.metrics.record_kill(lost)

@@ -14,14 +14,13 @@ disciplines without touching the scheduler.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.registry import Registry
 from repro.errors import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.serving.fleet import PendingSession
+    from repro.serving.fleet import PendingQueue, PendingSession
 
 
 @runtime_checkable
@@ -30,12 +29,14 @@ class AdmissionPolicy(Protocol):
 
     name: str
 
-    def select(self, pending: "list[PendingSession]",
+    def select(self, pending: "PendingQueue",
                free_cores: int) -> "PendingSession | None":
         """Pick one admissible entry of ``pending`` or ``None``.
 
-        Entries arrive in arrival order; ``entry.blocked`` marks sessions
-        whose last placement attempt failed on the current free set.
+        Iterating ``pending`` yields entries in arrival order;
+        ``pending.by_priority()`` yields them by ``priority_key``.
+        ``entry.blocked`` marks sessions whose last placement attempt
+        failed on the current free set.
         """
         ...
 
@@ -99,20 +100,21 @@ class PriorityPolicy:
     Sessions carrying an explicit SLO class rank by its tier
     (:func:`~repro.serving.slo.effective_priority`); legacy sessions
     rank by their raw ``priority`` value as always. The key is
-    precomputed once per entry as ``PendingSession.priority_key``.
+    precomputed once per entry as ``PendingSession.priority_key``, and
+    the queue keeps its entries sorted by it, so the walk stops at the
+    first unblocked entry.
     """
 
     name = "priority"
 
     def select(self, pending, free_cores):
-        # Only the top-ranked unblocked entry matters (blocked ones are
-        # skipped unconditionally), so one O(n) min beats sorting the
-        # whole queue on every admit-loop iteration.
-        top = min((e for e in pending if not e.blocked),
-                  key=attrgetter("priority_key"), default=None)
-        if top is not None and top.session.core_count <= free_cores:
-            return top
-        return None  # the top-priority waiter must go first
+        for entry in pending.by_priority():
+            if entry.blocked:
+                continue
+            if entry.session.core_count <= free_cores:
+                return entry
+            return None  # the top-priority waiter must go first
+        return None
 
 
 _REGISTRY: Registry[AdmissionPolicy] = Registry("admission policy",

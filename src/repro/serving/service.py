@@ -143,13 +143,13 @@ class ControlPlane:
 
     def queue_depth(self) -> int:
         """Buffered + scheduler-pending admissions (the backpressure gauge)."""
-        return len(self._backlog) + len(self.fleet.pending_sessions)
+        return len(self._backlog) + len(self.fleet._pending)
 
-    def _in_flight_ids(self) -> set:
-        ids = {s.session_id for s in self._backlog}
-        ids.update(e.session.session_id for e in self.fleet.pending_sessions)
-        ids.update(a.session.session_id for a in self.fleet._active.values())
-        return ids
+    def _in_flight(self, session_id: int) -> bool:
+        return (any(s.session_id == session_id for s in self._backlog)
+                or self.fleet._pending.find(session_id) is not None
+                or any(a.session.session_id == session_id
+                       for a in self.fleet._active.values()))
 
     def _retry_hint(self) -> int:
         departs = [a.expected_depart - self.fleet.sim.now
@@ -163,7 +163,7 @@ class ControlPlane:
             "cycle": self.fleet.sim.now,
             "chips": self.fleet.chip_count,
             "backlog": len(self._backlog),
-            "pending": len(self.fleet.pending_sessions),
+            "pending": len(self.fleet._pending),
             "active": self.fleet.active_count,
             "queue_depth": self.queue_depth(),
             "max_pending": self.max_pending,
@@ -178,7 +178,7 @@ class ControlPlane:
         return {
             "cycle": self.fleet.sim.now,
             "backlog": len(self._backlog),
-            "pending": len(self.fleet.pending_sessions),
+            "pending": len(self.fleet._pending),
             "active": self.fleet.active_count,
             "summary": summary_wire(
                 self.fleet.metrics.summary(self.frequency_hz)),
@@ -188,7 +188,7 @@ class ControlPlane:
     # -- admission ---------------------------------------------------------
     def _validate_admission(self, session: TenantSession) -> None:
         """The enqueue-time static caps, applied at the protocol edge."""
-        if session.session_id in self._in_flight_ids():
+        if self._in_flight(session.session_id):
             raise ServingError(
                 f"session {session.session_id} is already in flight")
         self.fleet._validate(session)
@@ -286,7 +286,7 @@ class ControlPlane:
         async with self._lock:
             cycle = await self._advance(until)
             response = ok_response("drain", cycle=cycle,
-                                   pending=len(self.fleet.pending_sessions),
+                                   pending=len(self.fleet._pending),
                                    active=self.fleet.active_count)
             if until is None:
                 self.fleet.sim.finish_processes()

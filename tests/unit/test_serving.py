@@ -17,6 +17,7 @@ from repro.core.vnpu import VNpuSpec
 from repro.errors import ConfigError, HypervisorError, ServingError
 from repro.serving import (
     FleetScheduler,
+    PendingQueue,
     PendingSession,
     TenantSession,
     generate_trace,
@@ -166,25 +167,28 @@ class TestPolicyRegistry:
 
 class TestPolicies:
     def test_fcfs_head_of_line_blocks(self):
-        pending = [PendingSession(session(0, rows=3, cols=3)),
-                   PendingSession(session(1, rows=1, cols=2))]
+        pending = PendingQueue([PendingSession(session(0, rows=3, cols=3)),
+                                PendingSession(session(1, rows=1, cols=2))])
         assert FCFSPolicy().select(pending, free_cores=4) is None
 
     def test_fcfs_skips_blocked_head(self):
         head = PendingSession(session(0, rows=2, cols=2), blocked=True)
         follower = PendingSession(session(1, rows=1, cols=2))
-        assert FCFSPolicy().select([head, follower], free_cores=4) is follower
+        pending = PendingQueue([head, follower])
+        assert FCFSPolicy().select(pending, free_cores=4) is follower
 
     def test_best_fit_prefers_tightest_packing(self):
         small = PendingSession(session(0, rows=1, cols=2))
         big = PendingSession(session(1, rows=2, cols=3))
-        assert BestFitPolicy().select([small, big], free_cores=6) is big
-        assert BestFitPolicy().select([small, big], free_cores=5) is small
+        pending = PendingQueue([small, big])
+        assert BestFitPolicy().select(pending, free_cores=6) is big
+        assert BestFitPolicy().select(pending, free_cores=5) is small
 
     def test_priority_orders_by_priority_then_arrival(self):
         low = PendingSession(session(0, arrival=0, priority=0))
         high = PendingSession(session(1, arrival=5, priority=2))
-        assert PriorityPolicy().select([low, high], free_cores=8) is high
+        pending = PendingQueue([low, high])
+        assert PriorityPolicy().select(pending, free_cores=8) is high
 
 
 class TestMetricsHelpers:

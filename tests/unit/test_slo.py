@@ -10,6 +10,7 @@ from repro.serving import (
     GOLD,
     SILVER,
     FleetScheduler,
+    PendingQueue,
     PendingSession,
     SLOClass,
     SLOMetrics,
@@ -174,20 +175,20 @@ class TestPriorityStarvation:
                                           priority=2))
         small_low = PendingSession(session(1, arrival=5, priority=0))
         policy = PriorityPolicy()
+        pending = PendingQueue([small_low, big_gold])
         # 4 free cores: the 9-core gold cannot go, and priority now
         # holds the line — nobody overtakes.
-        assert policy.select([small_low, big_gold], free_cores=4) is None
+        assert policy.select(pending, free_cores=4) is None
         # Once the chip drains, the gold waiter goes first.
-        assert policy.select([small_low, big_gold],
-                             free_cores=9) is big_gold
+        assert policy.select(pending, free_cores=9) is big_gold
 
     def test_blocked_high_priority_is_skipped(self):
         """A placement-failed (blocked) waiter must not deadlock the
         queue — mirrors FCFS's blocked-head behavior."""
         blocked_gold = PendingSession(session(0, priority=2), blocked=True)
         small_low = PendingSession(session(1, arrival=5, priority=0))
-        assert PriorityPolicy().select([blocked_gold, small_low],
-                                       free_cores=8) is small_low
+        pending = PendingQueue([blocked_gold, small_low])
+        assert PriorityPolicy().select(pending, free_cores=8) is small_low
 
     def test_starvation_case_end_to_end(self):
         """Under the old fits-only policy the 16-core gold tenant admits
