@@ -86,6 +86,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from repro.arch.topology import Topology
 from repro.core.ged import (
@@ -235,6 +236,12 @@ class _Candidate:
     topology: Topology | None = None
 
 
+@lru_cache(maxsize=64)
+def _plain_mesh(rows: int, cols: int) -> Topology:
+    """A shared, read-only ``Topology.mesh2d(rows, cols)`` probe."""
+    return Topology.mesh2d(rows, cols)
+
+
 def _translated(mapping: dict[int, int], offset: int) -> dict[int, int]:
     return {v: p + offset for v, p in mapping.items()}
 
@@ -316,6 +323,11 @@ class TopologyMapper:
                 "shape memos are shared only between mappers of equal "
                 "chips and enumeration limits under the default edit costs")
         self.memos = memos
+        #: Whether ``holds_exact_mesh`` can decide: the chip is exactly
+        #: ``Topology.mesh2d`` and distance 0 means an isomorphic
+        #: induced candidate (default edit costs).
+        self._rectangles_decide = (bool(memos._cols)
+                                   and self.costs == EditCosts())
         # Free topologies of the last two allocated sets (see
         # free_topology): the current occupancy plus one ad-hoc set, as
         # resize and in-place migration pass.
@@ -449,22 +461,21 @@ class TopologyMapper:
             for index, node in enumerate(sorted(request.nodes))
         }
 
-    def _mesh_placements(self, request: Topology, free: Topology):
+    def _mesh_placements(self, request: Topology, free_nodes: set[int]):
         """Yield exact vmaps by sliding the request mesh over free cells."""
         grid = self._request_grid(request)
         if grid is None or not self.chip.coords:
             return
         by_coord = self._by_coord
-        free_nodes = set(free.nodes)
         chip_rows = self._chip_rows
         chip_cols = self._chip_cols
-        shape = request.mesh_shape()
-        orientations = [grid]
-        if shape.rows != shape.cols:
-            orientations.append({n: (c, r) for n, (r, c) in grid.items()})
-        for oriented in orientations:
-            height = max(r for r, _ in oriented.values()) + 1
-            width = max(c for _, c in oriented.values()) + 1
+        height = max(r for r, _ in grid.values()) + 1
+        width = max(c for _, c in grid.values()) + 1
+        orientations = [(grid, height, width)]
+        if height != width:
+            orientations.append(({n: (c, r) for n, (r, c) in grid.items()},
+                                 width, height))
+        for oriented, height, width in orientations:
             for base_row in range(chip_rows - height + 1):
                 for base_col in range(chip_cols - width + 1):
                     vmap = {}
@@ -534,7 +545,7 @@ class TopologyMapper:
         """Exact-topology placement or TopologyLockIn."""
         free = self.free_topology(allocated or set())
         self._check_capacity(request, free)
-        for vmap in self._mesh_placements(request, free):
+        for vmap in self._mesh_placements(request, set(free.nodes)):
             return MappingResult(
                 strategy="exact", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
@@ -575,6 +586,31 @@ class TopologyMapper:
             candidates_considered=1,
         )
 
+    def holds_exact_mesh(self, rows: int, cols: int,
+                         allocated: set[int] | frozenset[int]
+                         ) -> bool | None:
+        """Does the free set hold an exact ``rows`` x ``cols`` mesh?
+
+        Answers whether ``map_similar(Topology.mesh2d(rows, cols),
+        allocated)`` would return distance 0 (an ``AllocationError``
+        counts as no) by sliding the mesh over the free cells, without
+        enumerating candidates. It decides only when ``rows`` and
+        ``cols`` are both at least 2 on a chip that is exactly
+        ``Topology.mesh2d`` under the default edit costs, and returns
+        ``None`` otherwise. There, distance 0 needs a free induced
+        subgraph isomorphic to the request, and an induced r x c grid
+        with r, c >= 2 in a grid graph is an axis-aligned rectangle:
+        its 4-cycles are unit squares, glued edge to edge. A 1 x k line
+        has no 4-cycle and can be exact as an L or a snake, so lines
+        stay undecided.
+        """
+        if rows < 2 or cols < 2 or not self._rectangles_decide:
+            return None
+        free_nodes = set(self.chip.nodes).difference(allocated)
+        placements = self._mesh_placements(_plain_mesh(rows, cols),
+                                           free_nodes)
+        return next(placements, None) is not None
+
     def map_similar(self, request: Topology,
                     allocated: set[int] | None = None,
                     require_connected: bool = True) -> MappingResult:
@@ -608,7 +644,7 @@ class TopologyMapper:
     def _map_similar_uncached(self, request: Topology, free: Topology,
                               allocated: set[int],
                               require_connected: bool) -> MappingResult:
-        for vmap in self._mesh_placements(request, free):
+        for vmap in self._mesh_placements(request, set(free.nodes)):
             return MappingResult(  # Algorithm 1 line 22: early exact return
                 strategy="similar", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,

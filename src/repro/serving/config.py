@@ -43,6 +43,7 @@ from repro.serving.faults import (
 from repro.serving.fleet import (
     DefragPolicy,
     PlacementPolicy,
+    check_optional,
     coerce_placement,
 )
 from repro.serving.policies import AdmissionPolicy, coerce_policy
@@ -92,18 +93,10 @@ class ServingConfig:
         coerce_placement(self.placement)
         if self.strategy is not None:
             resolve_strategy(self.strategy)
-        if self.defrag is not None and not isinstance(self.defrag,
-                                                      DefragPolicy):
-            raise ServingError(
-                f"defrag must be a DefragPolicy or None; got "
-                f"{self.defrag!r}")
+        check_optional("defrag", self.defrag, DefragPolicy)
         coerce_cost_model(self.cost_model)
         coerce_elastic(self.elastic)
-        if self.faults is not None and not isinstance(self.faults,
-                                                      FailureSchedule):
-            raise ServingError(
-                f"faults must be a FailureSchedule or None; got "
-                f"{self.faults!r}")
+        check_optional("faults", self.faults, FailureSchedule)
         coerce_evacuation(self.evacuation)
 
     # -- scheduler plumbing -------------------------------------------------

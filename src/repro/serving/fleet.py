@@ -399,16 +399,19 @@ class FleetChip:
 class PlacementPolicy:
     """Orders the fleet's chips for one session's placement attempt.
 
-    ``rank`` returns the chips to try, best first; chips without enough
-    free cores — and chips inside a fault outage (``not healthy``) —
-    are excluded. An empty ranking parks the session until a departure
-    (or migration, or recovery) changes some chip's free set.
+    ``rank`` returns an iterable of the chips to try, best first; chips
+    without enough free cores — and chips inside a fault outage (``not
+    healthy``) — are excluded. Callers consume it lazily and abandon it
+    once a placement lands, so a generator that defers work on chips
+    it may never reach is allowed. An empty ranking parks the session
+    until a departure (or migration, or recovery) changes some chip's
+    free set.
     """
 
     name: str
 
     def rank(self, chips: "list[FleetChip]",
-             session: TenantSession) -> "list[FleetChip]":
+             session: TenantSession) -> "Iterable[FleetChip]":
         raise NotImplementedError
 
 
@@ -426,41 +429,69 @@ class LeastLoadedPlacement(PlacementPolicy):
 class BestFitPlacement(PlacementPolicy):
     """Smallest trial mapping distance across chips (then tightest fit).
 
-    Probes each candidate chip with the similar-topology mapper; a chip
+    The ranking is the chips sorted by ``(distance, leftover, index)``,
+    where ``distance`` is the similar-topology mapper's trial distance
+    and ``leftover`` the free cores the session would leave; a chip
     whose probe finds no connected placement is excluded (the real
-    placement would fail the same way). Probe results are pure functions
-    of (request structure, free-core set), so each chip's result cache
-    absorbs the repeat probes churn produces, and the shape memos its
-    mapper shares with every chip of its type make a shape priced on
-    one chip cheap to probe on the others. The probe inherits the
-    mapper's candidate-enumeration cost: on large chips (36+ cores) with
-    heavily shattered free sets, ranking pays Algorithm 1's worst case
-    per chip — prefer ``least_loaded`` for big-chip fleets where probe
-    cost matters more than placement quality.
+    placement would fail the same way).
+
+    It is built exact-first, the fleet-level form of Algorithm 1's early
+    return. Chips are walked tightest fit first, and a chip the mapper's
+    rectangle test (:meth:`TopologyMapper.holds_exact_mesh`) says holds
+    the request exactly is yielded at once, unprobed. A chip the test
+    cannot decide (a 1 x k request, a chip that is not a plain mesh) is
+    probed on the spot and yielded if its distance is 0; a chip the test
+    rules out is deferred. Only once the exact chips run out are the
+    deferred chips probed and the rest yielded by distance. That is the
+    order of the full sort, so a caller that stops at the first chip
+    where a placement lands never pays for probing the others.
     """
 
     name = "best_fit"
 
     def rank(self, chips, session):
-        request = Topology.mesh2d(session.rows, session.cols,
-                                  name="placement-probe")
+        rows, cols = session.rows, session.cols
+        request = Topology.mesh2d(rows, cols, name="placement-probe")
+        fits = sorted(
+            (fleet_chip.free_cores() - session.core_count, fleet_chip.index,
+             fleet_chip)
+            for fleet_chip in chips
+            if fleet_chip.healthy
+            and session.core_count <= fleet_chip.free_cores())
         scored = []
-        for fleet_chip in chips:
-            if not fleet_chip.healthy:
+        deferred = []
+        for leftover, index, fleet_chip in fits:
+            hypervisor = fleet_chip.hypervisor
+            exact = hypervisor.mapper.holds_exact_mesh(
+                rows, cols, hypervisor.allocated_cores)
+            if exact:
+                yield fleet_chip
                 continue
-            if session.core_count > fleet_chip.free_cores():
+            if exact is False:
+                deferred.append((leftover, index, fleet_chip))
                 continue
-            mapper = fleet_chip.hypervisor.mapper
-            try:
-                trial = mapper.map_similar(
-                    request, fleet_chip.hypervisor.allocated_cores)
-            except AllocationError:
-                continue
-            leftover = fleet_chip.free_cores() - session.core_count
-            scored.append((trial.distance, leftover, fleet_chip.index,
-                           fleet_chip))
-        return [entry[-1] for entry in sorted(scored,
-                                              key=lambda e: e[:3])]
+            distance = _probe(request, hypervisor)
+            if distance == 0:
+                yield fleet_chip
+            elif distance is not None:
+                scored.append((distance, leftover, index, fleet_chip))
+        for leftover, index, fleet_chip in deferred:
+            distance = _probe(request, fleet_chip.hypervisor)
+            if distance is not None:
+                scored.append((distance, leftover, index, fleet_chip))
+        scored.sort(key=lambda e: e[:3])
+        for entry in scored:
+            yield entry[-1]
+
+
+def _probe(request: Topology, hypervisor: Hypervisor) -> float | None:
+    """Trial mapping distance of ``request`` on a chip, None if it has
+    no connected placement."""
+    try:
+        return hypervisor.mapper.map_similar(
+            request, hypervisor.allocated_cores).distance
+    except AllocationError:
+        return None
 
 
 class PowerOfTwoPlacement(PlacementPolicy):
@@ -549,6 +580,13 @@ class DefragPolicy:
         if self.max_migrations_per_trigger < 1:
             raise ServingError("defrag needs at least one migration per "
                                "trigger")
+
+
+def check_optional(knob: str, value, kind: type) -> None:
+    """Fail fast unless the ``knob`` value is None or a ``kind``."""
+    if value is not None and not isinstance(value, kind):
+        raise ServingError(
+            f"{knob} must be a {kind.__name__} or None; got {value!r}")
 
 
 @dataclass(slots=True)
@@ -641,6 +679,7 @@ class FleetScheduler:
         if strategy is not None:
             resolve_strategy(strategy)  # fail fast, like the hypervisor
         self.strategy = strategy
+        check_optional("defrag", defrag, DefragPolicy)
         self.defrag = defrag
         #: SLO enforcement: None = static behavior (queue and wait).
         self.elastic = coerce_elastic(elastic)
@@ -648,6 +687,7 @@ class FleetScheduler:
         #: ``evacuation`` governing how a failing chip is drained.
         #: Validated fail-fast (kerf-style) before anything runs.
         self.evacuation = coerce_evacuation(evacuation)
+        check_optional("faults", faults, FailureSchedule)
         if faults is not None:
             faults.validate(len(self.chips))
         self.faults = faults

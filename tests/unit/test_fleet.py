@@ -95,7 +95,7 @@ class TestPlacementPolicies:
             hv0.create_vnpu(VNpuSpec(name, MeshShape(*shape), 16 * MB))
         chips[1].hypervisor.create_vnpu(
             VNpuSpec("d", MeshShape(2, 2), 16 * MB))
-        ranked = BestFitPlacement().rank(chips, session(rows=2, cols=3))
+        ranked = list(BestFitPlacement().rank(chips, session(rows=2, cols=3)))
         assert ranked, "best-fit found no candidate"
         # Chip 1 still has a pristine 2x3 region -> distance 0 -> first.
         assert ranked[0].index == 1
@@ -169,6 +169,14 @@ class TestFleetScheduler:
     def test_run_before_submit_raises(self):
         with pytest.raises(ServingError):
             self.make().run()
+
+    def test_non_policy_defrag_rejected(self):
+        with pytest.raises(ServingError, match="defrag must be"):
+            self.make(defrag=0.2)
+
+    def test_non_schedule_faults_rejected(self):
+        with pytest.raises(ServingError, match="faults must be"):
+            self.make(faults="x")
 
     def test_invalid_policy_instance_rejected(self):
         with pytest.raises(ServingError):

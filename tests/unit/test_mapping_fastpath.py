@@ -626,3 +626,64 @@ class TestSharedMemos:
             stats.append(fleet.mapper_stats())
         assert stats[0] == stats[1]
         assert stats[0]["objective_evaluations"] > 0
+
+
+# -- the exact-mesh rectangle test -------------------------------------------
+
+def exactly_mapped(mapper, rows, cols, allocated):
+    """Whether ``map_similar`` prices a rows x cols mesh at distance 0."""
+    try:
+        return mapper.map_similar(Topology.mesh2d(rows, cols),
+                                  allocated).distance == 0
+    except AllocationError:
+        return False
+
+
+class TestExactMeshLemma:
+    """``holds_exact_mesh`` decides ``map_similar`` distance 0 for
+    rows, cols >= 2 on a plain mesh chip, and abstains elsewhere."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.sampled_from([(4, 4), (6, 6), (4, 6)]),
+           tagged=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 0.7),
+           shape=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4),
+                                  (4, 2)]))
+    def test_rectangle_test_matches_map_similar(self, dims, tagged, seed,
+                                                density, shape):
+        chip = tagged_mesh(*dims) if tagged else Topology.mesh2d(*dims)
+        mapper = TopologyMapper(chip, cache_size=0)
+        rng = random.Random(seed)
+        allocated = frozenset(node for node in chip.nodes
+                              if rng.random() < density)
+        decided = mapper.holds_exact_mesh(*shape, allocated)
+        assert decided is not None
+        assert decided == exactly_mapped(mapper, *shape, allocated)
+
+    def test_lines_stay_undecided(self):
+        mapper = TopologyMapper(Topology.mesh2d(4, 4), cache_size=0)
+        for shape in ((1, 1), (1, 3), (3, 1), (1, 4)):
+            assert mapper.holds_exact_mesh(*shape, frozenset()) is None
+
+    def test_non_mesh_chips_stay_undecided(self):
+        mesh = Topology.mesh2d(4, 4)
+        order = mesh.nodes
+        random.Random(4).shuffle(order)
+        relabelled = mesh.relabel(dict(zip(mesh.nodes, order)))
+        cut = Topology(mesh.nodes, mesh.edges[1:], coords=mesh.coords)
+        for chip in (relabelled, cut, Topology.ring(8)):
+            mapper = TopologyMapper(chip, cache_size=0)
+            assert mapper.holds_exact_mesh(2, 2, frozenset()) is None
+        custom = TopologyMapper(mesh, costs=EditCosts(edge_insert=0.1),
+                                cache_size=0)
+        assert custom.holds_exact_mesh(2, 2, frozenset()) is None
+
+    def test_line_exact_only_as_an_l_is_undecided(self):
+        chip = Topology.mesh2d(4, 4)
+        mapper = TopologyMapper(chip, cache_size=0)
+        allocated = window(chip, {(0, 0), (0, 1), (1, 1)}, (0, 0))
+        assert mapper.holds_exact_mesh(1, 3, allocated) is None
+        assert mapper.holds_exact_mesh(3, 1, allocated) is None
+        assert exactly_mapped(mapper, 1, 3, allocated)
+        assert not mapper.holds_exact_mesh(2, 2, allocated)
