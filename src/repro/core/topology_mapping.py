@@ -76,9 +76,12 @@ with base 0 through the same code path.
 
 **Sharing.** A standalone mapper owns a private :class:`ShapeMemos`.
 ``FleetScheduler`` hands one to every hypervisor built from an equal
-``SoCConfig``, so a shape priced on one chip is free on its siblings.
-Sharing requires equal chips, enumeration limits and the default
-:class:`~repro.core.ged.EditCosts`; every memo stays LRU-bounded by
+``SoCConfig``, so a shape priced on one chip is free on its siblings,
+and so is a whole :meth:`TopologyMapper.map_similar` result: its memo
+key is the request's structure and the free-core set, and chips of
+one type with equal free sets place identically. Sharing requires
+equal chip topologies (a chip failure never edits one) and the default
+:class:`~repro.core.ged.EditCosts`. Every memo stays LRU-bounded by
 ``memo_size`` and every counter stays per mapper.
 """
 
@@ -161,19 +164,21 @@ def enumerate_connected_subsets(topology: Topology, k: int,
 
 
 class ShapeMemos:
-    """Mapper memos of one chip type, keyed by canonical candidate shape.
+    """The mapper memos of one chip type.
 
-    Holds the (free set, k) subset enumerations and the shape-keyed
+    Holds the ``map_similar`` results and the (free set, k) subset
+    enumerations, both keyed by free set, and the shape-keyed
     certificate, lower-bound, Hungarian-score and polish memos (see the
     module docstring), each LRU-bounded by ``memo_size``. ``identity``
-    names what a mapper must match to share the object: ``None`` for
-    custom edit costs, which never share.
+    is the chip's structural key, which a mapper must match to share
+    the object: ``None`` for custom edit costs, which never share.
     """
 
     def __init__(self, chip: Topology, memo_size: int,
                  identity: tuple | None) -> None:
         self.memo_size = memo_size
         self.identity = identity
+        self.results: OrderedDict[tuple, MappingResult] = OrderedDict()
         self.subsets: OrderedDict[tuple, list] = OrderedDict()
         self.certs: OrderedDict = OrderedDict()
         self.bounds: OrderedDict[tuple, float] = OrderedDict()
@@ -249,27 +254,21 @@ def _translated(mapping: dict[int, int], offset: int) -> dict[int, int]:
 class TopologyMapper:
     """Implements the allocation strategies over one chip topology."""
 
+    #: Cap on the connected subsets enumerated per (free set, k).
+    CANDIDATE_LIMIT = 20_000
+    #: Largest request size for which candidates are enumerated
+    #: exhaustively (ESU); beyond it a compact-region generator is used
+    #: (the paper prunes aggressively and parallelizes instead).
+    ESU_MAX_REQUEST = 9
+
     def __init__(self, chip_topology: Topology,
                  costs: EditCosts | None = None,
-                 candidate_limit: int = 20_000,
-                 esu_max_request: int = 9,
-                 cache_size: int = 512,
                  memo_size: int = 16_384,
                  memos: ShapeMemos | None = None) -> None:
         self.chip = chip_topology
         self.costs = costs or EditCosts()
-        self.candidate_limit = candidate_limit
-        #: Largest request size for which candidates are enumerated
-        #: exhaustively (ESU); beyond it a compact-region generator is used
-        #: (the paper prunes aggressively and parallelizes instead).
-        self.esu_max_request = esu_max_request
-        #: LRU memo for :meth:`map_similar`, keyed on (request structure,
-        #: frozen free-core set). Under tenant churn the same shapes recur
-        #: against the same fragmentation states, and candidate enumeration
-        #: plus GED scoring is by far the hot path. ``cache_size=0``
-        #: disables caching.
-        self.cache_size = cache_size
-        self._similar_cache: OrderedDict[tuple, MappingResult] = OrderedDict()
+        #: ``map_similar`` lookups in ``memos.results``, per mapper; a
+        #: hit may be a result priced on a sibling chip.
         self.cache_hits = 0
         self.cache_misses = 0
         # Delta-evaluated 2-opt tracks the full recomputation bit-for-bit
@@ -313,15 +312,14 @@ class TopologyMapper:
         #: share. One object can serve a whole fleet's chips of a type,
         #: and a 36-core best-fit fleet prices ~9k distinct shapes, so
         #: the bound sits above that.
-        identity = ((self._request_key(chip_topology), candidate_limit,
-                     esu_max_request)
+        identity = (self._request_key(chip_topology)
                     if self.costs == EditCosts() else None)
         if memos is None:
             memos = ShapeMemos(chip_topology, memo_size, identity)
         elif identity is None or memos.identity != identity:
             raise TopologyError(
                 "shape memos are shared only between mappers of equal "
-                "chips and enumeration limits under the default edit costs")
+                "chips under the default edit costs")
         self.memos = memos
         #: Whether ``holds_exact_mesh`` can decide: the chip is exactly
         #: ``Topology.mesh2d`` and distance 0 means an isomorphic
@@ -339,7 +337,7 @@ class TopologyMapper:
         self.objective_evaluations = 0
         self.free_rebuilds = 0
 
-    # -- mapping cache -------------------------------------------------------
+    # -- memo keys and counters ----------------------------------------------
     def _request_key(self, request: Topology) -> tuple:
         """Structural identity of a request topology.
 
@@ -356,24 +354,11 @@ class TopologyMapper:
             if request.node_attrs else None,
         )
 
-    def _cache_key(self, request: Topology, free: Topology,
-                   require_connected: bool) -> tuple:
-        """Structural identity of a ``map_similar`` call."""
-        return (
-            self._request_key(request),
-            frozenset(free.nodes),
-            require_connected,
-        )
-
-    def clear_mapping_cache(self) -> None:
-        self._similar_cache.clear()
-
     def cache_stats(self) -> dict[str, int | float]:
         lookups = self.cache_hits + self.cache_misses
         return {
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "entries": len(self._similar_cache),
             "hit_rate": self.cache_hits / lookups if lookups else 0.0,
             "candidates_considered": self.candidates_considered,
             "candidates_pruned": self.candidates_pruned,
@@ -507,9 +492,9 @@ class TopologyMapper:
         """Connected k-subsets of ``free`` (memoized per free set — churn
         revisits the same fragmentation states)."""
         def build():
-            if k <= self.esu_max_request:
+            if k <= self.ESU_MAX_REQUEST:
                 return enumerate_connected_subsets(free, k,
-                                                   limit=self.candidate_limit)
+                                                   limit=self.CANDIDATE_LIMIT)
             return self._compact_sets(free, k)
         memos = self.memos
         return memos.lookup(memos.subsets, (frozenset(free.nodes), k), build)
@@ -616,30 +601,31 @@ class TopologyMapper:
                     require_connected: bool = True) -> MappingResult:
         """Algorithm 1: minimum topology-edit-distance placement.
 
-        Results are memoized per (request structure, free-core set): the
-        placement is a pure function of those inputs, so a cache hit
-        returns a copy of the earlier result without re-enumerating
-        candidates or re-scoring GED.
+        The placement is a pure function of the request's structure, the
+        free-core set and ``require_connected``, so results are memoized
+        under that key in ``memos.results``, shared by every chip of the
+        type: a hit, possibly priced on a sibling chip, skips candidate
+        enumeration and GED scoring. Every call returns a copy with a
+        fresh ``vmap``.
         """
         allocated = allocated or set()
         free = self.free_topology(allocated)
         self._check_capacity(request, free)
-        if self.cache_size <= 0:
+
+        def build() -> MappingResult:
+            self.cache_misses += 1
             return self._map_similar_uncached(request, free, allocated,
                                               require_connected)
-        key = self._cache_key(request, free, require_connected)
-        cached = self._similar_cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            self._similar_cache.move_to_end(key)
-            return replace(cached, vmap=dict(cached.vmap))
-        self.cache_misses += 1
-        result = self._map_similar_uncached(request, free, allocated,
-                                            require_connected)
-        self._similar_cache[key] = replace(result, vmap=dict(result.vmap))
-        while len(self._similar_cache) > self.cache_size:
-            self._similar_cache.popitem(last=False)
-        return result
+
+        misses = self.cache_misses
+        memos = self.memos
+        result = memos.lookup(
+            memos.results,
+            (self._request_key(request), frozenset(free.nodes),
+             require_connected),
+            build)
+        self.cache_hits += self.cache_misses == misses
+        return replace(result, vmap=dict(result.vmap))
 
     def _map_similar_uncached(self, request: Topology, free: Topology,
                               allocated: set[int],

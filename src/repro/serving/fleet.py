@@ -11,8 +11,8 @@ idiom:
 
 - ``least_loaded`` — the chip with the most free cores;
 - ``best_fit`` — the chip whose trial placement has the smallest
-  topology-mapping distance (probes Algorithm 1 per chip; the mapper's
-  LRU cache keeps repeat probes cheap);
+  topology-mapping distance (probes Algorithm 1 per chip; the results
+  memo shared by the chips of one type keeps repeat probes cheap);
 - ``power_of_two`` — classic power-of-two-choices: two chips sampled by
   a per-session seeded draw, the less loaded one first.
 
@@ -748,7 +748,8 @@ class FleetScheduler:
         """Fleet-wide mapper counters (per-chip ``cache_stats`` summed).
 
         Every placement probe and provision lands on some chip's mapper;
-        the sum is the fleet's mapping workload: cache hits/misses,
+        the sum is the fleet's mapping workload: results-memo
+        hits/misses (a hit may reuse a sibling chip's result),
         candidates considered/pruned/refined, objective evaluations and
         free-set rebuilds.
         """

@@ -4,7 +4,8 @@
 paper's Algorithm 1, kept as the oracle whose ``(distance, vmap)``
 results :class:`~repro.core.topology_mapping.TopologyMapper` must
 reproduce exactly. It overrides the mapper's few seams with the seed
-behaviour: a fresh free topology per call, no memos, a subtopology and
+behaviour: a fresh free topology per call, no memos (not even the
+results memo, see :func:`map_similar_unmemoized`), a subtopology and
 certificate per candidate, the serial scalar Hungarian loop, and the
 full-recompute 2-opt over every polish seed with per-candidate
 Python-BFS hop tables.
@@ -20,8 +21,9 @@ against both mappers:
    corpus is a pure function of the trace seed — no simulator, no cost
    model, nothing but mapper calls.
 2. :func:`replay` executes the ``map`` events against fresh mappers
-   (result cache disabled, so every call does real mapping work) and
-   collects outputs, operation counters and wall time.
+   through :func:`map_similar_unmemoized` (so every call does real
+   mapping work) and collects outputs, operation counters and wall
+   time.
 3. :func:`run_mapping_perf` compares the two replays and splits the
    digest the way ``BENCH_cost`` does: a **deterministic** section
    (operation counts, pruning accounting, output equality — byte-stable
@@ -69,6 +71,22 @@ def all_pairs_hops(topology: Topology) -> dict[int, dict[int, int]]:
     return hops
 
 
+def map_similar_unmemoized(mapper: TopologyMapper, request: Topology,
+                           allocated=None,
+                           require_connected: bool = True):
+    """``mapper.map_similar`` without the results memo: every call maps.
+
+    The shape memos stay on for a :class:`TopologyMapper`; only the
+    lookup of a whole earlier result is skipped, and the hit and miss
+    counters stay untouched.
+    """
+    allocated = allocated or set()
+    free = mapper.free_topology(allocated)
+    mapper._check_capacity(request, free)
+    return mapper._map_similar_uncached(request, free, allocated,
+                                        require_connected)
+
+
 class ReferenceMapper(TopologyMapper):
     """The seed implementation of Algorithm 1: the mapper's oracle.
 
@@ -76,15 +94,17 @@ class ReferenceMapper(TopologyMapper):
     screening counters stay zero because nothing is screened.
     """
 
+    map_similar = map_similar_unmemoized
+
     def free_topology(self, allocated) -> Topology:
         self.free_rebuilds += 1
         return self.chip.subtopology(
             [n for n in self.chip.nodes if n not in allocated], name="free")
 
     def _candidate_sets(self, free, k):
-        if k <= self.esu_max_request:
+        if k <= self.ESU_MAX_REQUEST:
             return enumerate_connected_subsets(free, k,
-                                               limit=self.candidate_limit)
+                                               limit=self.CANDIDATE_LIMIT)
         return self._compact_sets(free, k)
 
     def _certified(self, free, subsets):
@@ -220,8 +240,7 @@ def record_corpus(seed: int = 7, sessions: int = 500, chips: int = 8,
     chip_topology = Topology.mesh2d(rows, cols)
     pinned = tuple(core for core in PINNED_CORES
                    if core < cores_per_chip)
-    mappers = [TopologyMapper(chip_topology, cache_size=0)
-               for _ in range(chips)]
+    mappers = [TopologyMapper(chip_topology) for _ in range(chips)]
     allocated: list[set[int]] = [set(pinned) for _ in range(chips)]
     requests: dict[tuple[int, int], Topology] = {}
     live: list[tuple[int, int, tuple[int, ...]]] = []
@@ -270,8 +289,9 @@ def replay(corpus: MappingCorpus,
     """Execute a corpus's ``map`` events against fresh mappers of
     ``mapper_type``; collect outputs, counters and timing.
 
-    The per-mapper result cache is disabled so every ``map`` event pays
-    for real mapping work — the replay measures the mapper, not its
+    Every call goes through :func:`map_similar_unmemoized`, for the
+    fast mapper as for the reference, so every ``map`` event pays for
+    real mapping work: the replay measures the mapper, not its results
     memo. Each call passes its recorded ``allocated`` set, as the
     hypervisor passes its occupancy record. The mappers share one
     shape-memo object, as the chips of one type in a fleet do.
@@ -281,8 +301,7 @@ def replay(corpus: MappingCorpus,
     mappers: list[TopologyMapper] = []
     for _ in range(corpus.chips):
         mappers.append(mapper_type(
-            chip_topology, cache_size=0,
-            memos=mappers[0].memos if mappers else None))
+            chip_topology, memos=mappers[0].memos if mappers else None))
     requests: dict[tuple[int, int], Topology] = {}
     calls = [event for event in corpus.events if event[0] == "map"]
     for _, _, req_rows, req_cols, _ in calls:
@@ -293,8 +312,8 @@ def replay(corpus: MappingCorpus,
     start = time.perf_counter()
     for _, index, req_rows, req_cols, alloc in calls:
         try:
-            result = mappers[index].map_similar(
-                requests[(req_rows, req_cols)], set(alloc),
+            result = map_similar_unmemoized(
+                mappers[index], requests[(req_rows, req_cols)], set(alloc),
                 require_connected=False,
             )
         except AllocationError:

@@ -23,10 +23,10 @@ from mapping_oracle import ReferenceMapper, all_pairs_hops
 REQUEST_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 3), (1, 4), (3, 4)]
 
 
-def make_pair(rows=5, cols=5, **kwargs):
+def make_pair(rows=5, cols=5):
     chip = Topology.mesh2d(rows, cols)
-    fast = TopologyMapper(chip, cache_size=0, **kwargs)
-    reference = ReferenceMapper(chip, cache_size=0, **kwargs)
+    fast = TopologyMapper(chip)
+    reference = ReferenceMapper(chip)
     return chip, fast, reference
 
 
@@ -104,8 +104,8 @@ class TestFastPathEquivalence:
         (mesh_shape falls back to isomorphism without coords)."""
         mesh = Topology.mesh2d(3, 3)
         chip = Topology(mesh.nodes, mesh.edges)  # structure only, no coords
-        fast = TopologyMapper(chip, cache_size=0)
-        reference = ReferenceMapper(chip, cache_size=0)
+        fast = TopologyMapper(chip)
+        reference = ReferenceMapper(chip)
         ring = Topology([0, 1, 2, 3, 4, 5, 6],
                         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                          (6, 0)])
@@ -130,8 +130,8 @@ class TestFastPathEquivalence:
             edge_insert=0.1,
         )
         chip = Topology.mesh2d(6, 6)
-        fast = TopologyMapper(chip, costs=costs, cache_size=0)
-        reference = ReferenceMapper(chip, costs=costs, cache_size=0)
+        fast = TopologyMapper(chip, costs=costs)
+        reference = ReferenceMapper(chip, costs=costs)
         assert not fast._delta_exact
         allocated = {0, 4, 8, 15, 19, 23, 26, 30, 34}
         for shape in ((2, 3), (3, 3), (2, 2)):
@@ -275,18 +275,17 @@ class TestFreeTopologyMemo:
 class TestCacheKeyAttributes:
     def test_tagged_requests_do_not_collide(self):
         """Structurally-equal requests with different node attrs must not
-        share a result-cache entry."""
+        share a results-memo entry."""
         chip = Topology.mesh2d(3, 3, name="chip")
         chip.node_attrs[0] = "mem"
         mapper = TopologyMapper(chip)
         plain = Topology.mesh2d(1, 2)
         tagged = Topology.mesh2d(1, 2)
         tagged.node_attrs.update({0: "sa", 1: "sa"})
-        key_plain = mapper._cache_key(plain, mapper.free_topology(set()),
-                                      True)
-        key_tagged = mapper._cache_key(tagged, mapper.free_topology(set()),
-                                       True)
-        assert key_plain != key_tagged
+        mapper.map_similar(plain)
+        mapper.map_similar(tagged)
+        assert (mapper.cache_hits, mapper.cache_misses) == (0, 2)
+        assert len(mapper.memos.results) == 2
 
 
 class TestMapperStatsSurfaces:
@@ -431,7 +430,7 @@ def window(chip, cells, offset):
 
 def assert_matches_reference(fast, request, allocated, costs=None):
     """Compare a warm fast mapper with a fresh reference mapper."""
-    reference = ReferenceMapper(fast.chip, costs=costs, cache_size=0)
+    reference = ReferenceMapper(fast.chip, costs=costs)
     fast_result = call(fast, request, allocated)
     ref_result = call(reference, request, allocated)
     assert (fast_result is None) == (ref_result is None)
@@ -466,7 +465,7 @@ class TestTranslateIdentity:
         rng = random.Random(seed)
         chip = tagged_mesh()
         cells = polyomino(rng, size)
-        fast = TopologyMapper(chip, cache_size=0)
+        fast = TopologyMapper(chip)
         for request in TRANSLATE_REQUESTS:
             if request.node_count > size:
                 continue
@@ -482,7 +481,7 @@ class TestTranslateIdentity:
         # (the polish takes BFS hops, not chip hops).
         cells = {(0, 0), (1, 0), (2, 0), (2, 1), (2, 2), (1, 2), (0, 2)}
         request = Topology.mesh2d(2, 3)
-        fast = TopologyMapper(chip, cache_size=0)
+        fast = TopologyMapper(chip)
         first = assert_matches_reference(fast, request,
                                          window(chip, cells, (0, 1)))
         assert first.distance > 0
@@ -508,7 +507,7 @@ class TestTranslateIdentity:
         chip = tagged_mesh()
         cells = {(1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (2, 3), (3, 1),
                  (3, 3)}
-        fast = TopologyMapper(chip, cache_size=0)
+        fast = TopologyMapper(chip)
         for offset in ((0, 1), (1, 1)):
             assert_matches_reference(fast, Topology.mesh2d(2, 4),
                                      window(chip, cells, offset))
@@ -521,7 +520,7 @@ class TestTranslateIdentity:
         order = mesh.nodes
         rng.shuffle(order)
         chip = mesh.relabel(dict(zip(mesh.nodes, order)))
-        fast = TopologyMapper(chip, cache_size=0)
+        fast = TopologyMapper(chip)
         nodes = frozenset(chip.nodes[:3])
         assert fast.memos.shape(nodes) == (nodes, 0)
         cells = polyomino(rng, 9)
@@ -537,7 +536,7 @@ class TestTranslateIdentity:
             edge_insert=0.1,
         )
         chip = tagged_mesh()
-        fast = TopologyMapper(chip, costs=costs, cache_size=0)
+        fast = TopologyMapper(chip, costs=costs)
         cells = polyomino(random.Random(9), 10)
         for request in TRANSLATE_REQUESTS:
             for offset in OFFSETS:
@@ -550,16 +549,14 @@ class TestTranslateIdentity:
         with pytest.raises(TopologyError):
             TopologyMapper(chip, memos=fast.memos)
 
-    def test_sharing_requires_equal_chips_and_limits(self):
+    def test_sharing_requires_equal_chips(self):
         shared = TopologyMapper(tagged_mesh()).memos
         assert TopologyMapper(tagged_mesh(), memos=shared).memos is shared
         with pytest.raises(TopologyError):
             TopologyMapper(Topology.mesh2d(6, 6), memos=shared)
-        with pytest.raises(TopologyError):
-            TopologyMapper(tagged_mesh(), esu_max_request=5, memos=shared)
 
 
-MEMO_NAMES = ("subsets", "certs", "bounds", "scores", "polished")
+MEMO_NAMES = ("results", "subsets", "certs", "bounds", "scores", "polished")
 
 
 class TestSharedMemos:
@@ -578,6 +575,29 @@ class TestSharedMemos:
         assert objects[0] is not objects[1]
         assert len({id(memos) for memos in objects}) == 2
 
+    def test_sibling_chip_hits_a_result_priced_on_chip_zero(self):
+        """A ``map_similar`` miss on chip 0 is a hit on chip 1 under the
+        same occupancy, and chip 1 provisions exactly that placement."""
+        from repro.serving import FleetScheduler
+        fleet = FleetScheduler.homogeneous(2, cores=16)
+        first, second = (fc.hypervisor for fc in fleet.chips)
+        for hypervisor in (first, second):  # equal occupancy on both chips
+            hypervisor.create_vnpu(VNpuSpec("pin", MeshShape(1, 3), 8 * MB))
+        assert first.allocated_cores == second.allocated_cores
+        spec = VNpuSpec("t", MeshShape(2, 3), 16 * MB)
+        priced = first.mapper.map_similar(spec.topology,
+                                          first.allocated_cores)
+        mapper = second.mapper
+        before = (mapper.cache_hits, mapper.cache_misses)
+        reused = mapper.map_similar(spec.topology, second.allocated_cores)
+        assert (mapper.cache_hits, mapper.cache_misses) == (before[0] + 1,
+                                                            before[1])
+        assert reused.vmap == priced.vmap
+        assert reused.vmap is not priced.vmap
+        vnpu = second.create_vnpu(spec)
+        assert vnpu.physical_cores == priced.physical_cores
+        assert mapper.cache_hits == before[0] + 2
+
     def test_standalone_hypervisors_keep_private_memos(self):
         first = Hypervisor(Chip(sim_config(16)))
         second = Hypervisor(Chip(sim_config(16)))
@@ -586,8 +606,8 @@ class TestSharedMemos:
     def test_shared_memos_stay_bounded(self):
         rng = random.Random(2)
         chip = tagged_mesh()
-        owner = TopologyMapper(chip, cache_size=0, memo_size=8)
-        sibling = TopologyMapper(chip, cache_size=0, memos=owner.memos)
+        owner = TopologyMapper(chip, memo_size=8)
+        sibling = TopologyMapper(chip, memos=owner.memos)
         for _ in range(30):
             mapper = rng.choice((owner, sibling))
             assert_matches_reference(
@@ -653,7 +673,7 @@ class TestExactMeshLemma:
     def test_rectangle_test_matches_map_similar(self, dims, tagged, seed,
                                                 density, shape):
         chip = tagged_mesh(*dims) if tagged else Topology.mesh2d(*dims)
-        mapper = TopologyMapper(chip, cache_size=0)
+        mapper = TopologyMapper(chip)
         rng = random.Random(seed)
         allocated = frozenset(node for node in chip.nodes
                               if rng.random() < density)
@@ -662,7 +682,7 @@ class TestExactMeshLemma:
         assert decided == exactly_mapped(mapper, *shape, allocated)
 
     def test_lines_stay_undecided(self):
-        mapper = TopologyMapper(Topology.mesh2d(4, 4), cache_size=0)
+        mapper = TopologyMapper(Topology.mesh2d(4, 4))
         for shape in ((1, 1), (1, 3), (3, 1), (1, 4)):
             assert mapper.holds_exact_mesh(*shape, frozenset()) is None
 
@@ -673,15 +693,14 @@ class TestExactMeshLemma:
         relabelled = mesh.relabel(dict(zip(mesh.nodes, order)))
         cut = Topology(mesh.nodes, mesh.edges[1:], coords=mesh.coords)
         for chip in (relabelled, cut, Topology.ring(8)):
-            mapper = TopologyMapper(chip, cache_size=0)
+            mapper = TopologyMapper(chip)
             assert mapper.holds_exact_mesh(2, 2, frozenset()) is None
-        custom = TopologyMapper(mesh, costs=EditCosts(edge_insert=0.1),
-                                cache_size=0)
+        custom = TopologyMapper(mesh, costs=EditCosts(edge_insert=0.1))
         assert custom.holds_exact_mesh(2, 2, frozenset()) is None
 
     def test_line_exact_only_as_an_l_is_undecided(self):
         chip = Topology.mesh2d(4, 4)
-        mapper = TopologyMapper(chip, cache_size=0)
+        mapper = TopologyMapper(chip)
         allocated = window(chip, {(0, 0), (0, 1), (1, 1)}, (0, 0))
         assert mapper.holds_exact_mesh(1, 3, allocated) is None
         assert mapper.holds_exact_mesh(3, 1, allocated) is None

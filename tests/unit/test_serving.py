@@ -27,6 +27,8 @@ from repro.serving import (
 from repro.serving.metrics import fragmentation_ratio, percentile
 from repro.serving.policies import BestFitPolicy, FCFSPolicy, PriorityPolicy
 
+from mapping_oracle import map_similar_unmemoized
+
 
 def session(session_id=0, arrival=0, rows=2, cols=2, priority=0,
             model="alexnet", inferences=10):
@@ -71,22 +73,23 @@ class TestMappingCache:
     def test_cached_results_match_uncached(self):
         chip = Topology.mesh2d(5, 5)
         cached = TopologyMapper(chip)
-        uncached = TopologyMapper(chip, cache_size=0)
+        uncached = TopologyMapper(chip)
         for request, allocated in self.CASES:
-            for _ in range(2):  # second pass hits the cache
+            for _ in range(2):  # second pass hits the results memo
                 a = cached.map_similar(request, set(allocated))
-                b = uncached.map_similar(request, set(allocated))
+                b = map_similar_unmemoized(uncached, request, set(allocated))
                 assert a.vmap == b.vmap
                 assert a.distance == b.distance
                 assert a.connected == b.connected
         assert cached.cache_hits > 0
         assert uncached.cache_hits == 0
+        assert not uncached.memos.results
 
     def test_hit_returns_fresh_vmap(self):
         mapper = TopologyMapper(Topology.mesh2d(4, 4))
         request = Topology.mesh2d(2, 2)
         first = mapper.map_similar(request)
-        first.vmap[99] = 99  # corrupting the result must not poison the cache
+        first.vmap[99] = 99  # corrupting the result must not poison the memo
         second = mapper.map_similar(request)
         assert 99 not in second.vmap
         assert mapper.cache_hits == 1
@@ -99,16 +102,14 @@ class TestMappingCache:
         assert mapper.cache_stats()["hits"] == 1
 
     def test_eviction_bounds_entries(self):
-        mapper = TopologyMapper(Topology.mesh2d(4, 4), cache_size=1)
+        """``memo_size`` bounds the results memo; an evicted result is
+        priced again on its next lookup."""
+        mapper = TopologyMapper(Topology.mesh2d(4, 4), memo_size=1)
         mapper.map_similar(Topology.mesh2d(2, 2))
         mapper.map_similar(Topology.mesh2d(1, 3))
-        assert mapper.cache_stats()["entries"] == 1
-
-    def test_clear_cache(self):
-        mapper = TopologyMapper(Topology.mesh2d(4, 4))
+        assert len(mapper.memos.results) == 1
         mapper.map_similar(Topology.mesh2d(2, 2))
-        mapper.clear_mapping_cache()
-        assert mapper.cache_stats()["entries"] == 0
+        assert (mapper.cache_hits, mapper.cache_misses) == (0, 3)
 
 
 class TestStrategyRegistry:
