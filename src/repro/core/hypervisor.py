@@ -64,11 +64,6 @@ from repro.mem.buddy import Block, BuddyAllocator
 #: Guest virtual addresses start here (a nonzero base catches null derefs).
 GUEST_VA_BASE = 0x1_0000
 
-#: Built-in strategy names (kept for backward compatibility; the live
-#: set — including user-registered strategies — is
-#: :func:`repro.core.strategies.available_strategies`).
-STRATEGIES = ("exact", "similar", "straightforward", "fragmented")
-
 
 def guest_capacity_bytes(config) -> int:
     """Largest guest allocation a chip built from ``config`` can map.

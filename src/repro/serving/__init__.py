@@ -41,6 +41,7 @@ from repro.serving.faults import (
     partition_schedule,
 )
 from repro.serving.fleet import (
+    AdmitOrder,
     BestFitPlacement,
     DefragPolicy,
     FleetChip,
@@ -88,7 +89,6 @@ from repro.serving.policies import (
 )
 from repro.serving.shard import (
     CRASH_KINDS,
-    AdmitOrder,
     CrashEvent,
     CrashSchedule,
     EpochPlan,

@@ -34,6 +34,13 @@ migration onto healthy survivors where possible, shrink-to-fit via
 ``resize_vnpu`` when the full mesh fits nowhere, fail-stop kill +
 requeue for the rest — and every placement decision honors
 :attr:`FleetChip.healthy` until the recovery event lands.
+
+Every session enters through :meth:`FleetScheduler.submit`, which may be
+called any number of times: a batch run submits its whole trace once, a
+shard slice submits each epoch's committed admissions, and the control
+plane submits each folded backlog. Submitted sessions wait in one
+fleet-owned collection until their arrival cycle, so queue depth,
+withdrawal and snapshots see them before they arrive.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ from repro.sim import Simulator
 
 #: Version of the pickled :meth:`FleetScheduler.snapshot` shape (keys,
 #: pending tuple, metrics object); bump it whenever that shape changes.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 
 @dataclass(slots=True, eq=False)
@@ -143,6 +150,30 @@ class PendingSession:
         self.arrival_key = (session.arrival_cycle, session.session_id)
         self.priority_key = (-effective_priority(session),
                              *self.arrival_key)
+
+
+@dataclass(frozen=True)
+class AdmitOrder:
+    """A session handed to :meth:`FleetScheduler.submit` with the
+    preemption / fault history it accumulated before this (re-)deal."""
+
+    session: TenantSession
+    preemptions: int = 0
+    evacuations: int = 0
+    kills: int = 0
+    lost_service_cycles: int = 0
+
+    @classmethod
+    def of(cls, entry: PendingSession) -> "AdmitOrder":
+        """The order that re-deals ``entry`` with its history."""
+        return cls(entry.session, entry.preemptions, entry.evacuations,
+                   entry.kills, entry.lost_service_cycles)
+
+    def entry(self) -> PendingSession:
+        return PendingSession(
+            self.session, preemptions=self.preemptions,
+            evacuations=self.evacuations, kills=self.kills,
+            lost_service_cycles=self.lost_service_cycles)
 
 
 class _SortedRun:
@@ -674,6 +705,10 @@ class FleetScheduler:
             self._build_chip(index, config)
             for index, config in enumerate(configs)]
         self.core_count = sum(fc.chip.core_count for fc in self.chips)
+        #: Static admission caps: the largest chip and guest memory.
+        self._largest_cores = max(fc.chip.core_count for fc in self.chips)
+        self._largest_memory = max(fc.hypervisor.guest_memory_capacity
+                                   for fc in self.chips)
         self.policy = coerce_policy(policy)
         self.placement = coerce_placement(placement)
         if strategy is not None:
@@ -698,11 +733,11 @@ class FleetScheduler:
         self._pending = PendingQueue()
         #: (chip index, vmid) -> active session.
         self._active: dict[tuple[int, int], ActiveFleetSession] = {}
-        self._trace_loaded = False
-        #: Submitted trace + replay cursor, kept so ``snapshot`` can
-        #: capture the arrivals not yet injected.
-        self._trace: list[TenantSession] = []
-        self._arrival_index = 0
+        #: Set by the first ``submit``, which starts the fault timeline.
+        self._started = False
+        #: Submitted sessions whose arrival cycle is still ahead, keyed
+        #: by entry identity; an arrival process pops each when it is due.
+        self._future: dict[PendingSession, None] = {}
 
     def _build_chip(self, index: int, config: SoCConfig) -> FleetChip:
         """Build fleet chip ``index`` (with its hypervisor) on the shared
@@ -762,67 +797,47 @@ class FleetScheduler:
 
     def _validate(self, session: TenantSession) -> None:
         """Refuse a session no chip of this fleet can ever host."""
-        validate_session(
-            session, self.cost_model.models,
-            max(fc.chip.core_count for fc in self.chips),
-            max(fc.hypervisor.guest_memory_capacity for fc in self.chips))
+        validate_session(session, self.cost_model.models,
+                         self._largest_cores, self._largest_memory)
 
-    def submit(self, trace: "list[TenantSession]") -> None:
-        """Queue a trace; arrivals are replayed at their recorded cycles."""
-        if self._trace_loaded:
-            raise ServingError("scheduler already has a trace submitted")
-        ordered = sorted(trace, key=lambda s: (s.arrival_cycle, s.session_id))
-        for session in ordered:
-            self._validate(session)
-        self._trace = ordered
-        self._arrival_index = 0
-        self.sim.process(self._arrivals(ordered), name="fleet-arrivals")
-        if self.faults is not None and len(self.faults):
-            self.sim.process(self._failure_timeline(), name="fleet-faults")
-        self._trace_loaded = True
+    def submit(self, arrivals: "Iterable[TenantSession | AdmitOrder]"
+               ) -> None:
+        """Hand sessions to the fleet; each arrives at its recorded cycle.
 
-    def begin_stream(self) -> None:
-        """Open the scheduler for incremental ``enqueue`` admissions.
-
-        The streaming counterpart of :meth:`submit`: no pre-materialized
-        trace, sessions are pushed one at a time by an external driver
-        (a shard coordinator, or eventually a live control plane). The
-        fault timeline, if any, is scheduled exactly as ``submit`` does.
+        The one way in, callable any number of times. Every session is
+        validated before any is recorded. The batch waits in the fleet's
+        not-yet-arrived collection, replayed by one arrival process in
+        ``(arrival_cycle, session_id)`` order; a session whose arrival
+        cycle has passed arrives now. An :class:`AdmitOrder` carries a
+        re-dealt session's history along. The first call also starts
+        the fault timeline; an empty call does only that.
         """
-        if self._trace_loaded:
-            raise ServingError("scheduler already has a trace submitted")
-        if self.faults is not None and len(self.faults):
-            self.sim.process(self._failure_timeline(), name="fleet-faults")
-        self._trace_loaded = True
-
-    def enqueue(self, session: TenantSession, *, preemptions: int = 0,
-                evacuations: int = 0, kills: int = 0,
-                lost_service_cycles: int = 0) -> None:
-        """Admit one session into the pending queue *now*.
-
-        Validates the same static caps ``submit`` does, inserts in
-        arrival order (so a re-dealt session slots ahead of younger
-        queue-mates, exactly where the monolithic scheduler would hold
-        it), and runs the admission loop. The counter kwargs carry a
-        session's accumulated preemption/evacuation history across a
-        cross-shard hand-off.
-        """
-        if not self._trace_loaded:
-            raise ServingError("begin_stream() or submit() before enqueue()")
-        self._validate(session)
-        self._pending.requeue(session, preemptions, evacuations=evacuations,
-                              kills=kills,
-                              lost_service_cycles=lost_service_cycles)
-        self._admit_loop()
-        self._sample()
+        entries = [item.entry() if isinstance(item, AdmitOrder)
+                   else PendingSession(item) for item in arrivals]
+        for entry in entries:
+            self._validate(entry.session)
+        if entries:
+            entries.sort(key=lambda e: e.arrival_key)
+            self._schedule(entries)
+        if not self._started:
+            self._started = True
+            if self.faults is not None and len(self.faults):
+                self.sim.process(self._failure_timeline(),
+                                 name="fleet-faults")
 
     def withdraw(self, session_id: int) -> PendingSession:
-        """Remove a still-pending session (a spill leaving this shard)."""
+        """Remove a session that is still waiting: queued, or submitted
+        but not yet arrived (a spill leaving this shard, a client's
+        withdrawal)."""
         entry = self._pending.find(session_id)
-        if entry is None:
-            raise ServingError(f"session {session_id} is not pending here")
-        self._pending.remove(entry)
-        return entry
+        if entry is not None:
+            self._pending.remove(entry)
+            return entry
+        for entry in self._future:
+            if entry.session.session_id == session_id:
+                del self._future[entry]
+                return entry
+        raise ServingError(f"session {session_id} is not pending here")
 
     def run(self, until: int | None = None,
             limit: int | None = None) -> int:
@@ -835,7 +850,7 @@ class FleetScheduler:
         run-to-completion; combining it with ``until`` is a
         contradiction and rejected.
         """
-        if not self._trace_loaded:
+        if not self._started:
             raise ServingError("submit() a trace before run()")
         if until is not None:
             if limit is not None:
@@ -862,8 +877,10 @@ class FleetScheduler:
         event mid-dispatch). Captures chip residents (via
         :meth:`Hypervisor.snapshot_state`), the pending queue with its
         preemption history, active sessions, accumulated metrics, the
-        fault schedule, and the arrivals not yet injected — everything
-        :meth:`restore` needs to continue the run in a fresh process.
+        fault schedule, and the submitted sessions not yet arrived, with
+        their history — everything :meth:`restore` needs to continue
+        the run in a fresh process (which replays those arrivals in
+        ``(arrival_cycle, session_id)`` order).
         By default the dict is detached via a pickle round-trip, so it
         doubles as the warm-restart wire format (and proves its own
         picklability). Callers that immediately ``pickle.dumps`` the
@@ -886,8 +903,9 @@ class FleetScheduler:
             "active": sorted(
                 self._active.values(),
                 key=lambda a: (a.admit_cycle, a.session.session_id)),
-            "remaining_trace": self._trace[self._arrival_index:],
-            "trace_loaded": self._trace_loaded,
+            "arrivals": [AdmitOrder.of(e) for e in sorted(
+                self._future, key=lambda e: e.arrival_key)],
+            "started": self._started,
             "metrics": self.metrics,
             "faults": self.faults,
             "evacuation": self.evacuation,
@@ -953,13 +971,10 @@ class FleetScheduler:
             fleet.sim.process(
                 fleet._session_lifetime(active, resume=True),
                 name=f"fleet-session-{active.session.session_id}")
-        fleet._trace_loaded = state["trace_loaded"]
-        remaining = list(state["remaining_trace"])
-        if remaining:
-            fleet._trace = remaining
-            fleet.sim.process(fleet._arrivals(remaining),
-                              name="fleet-arrivals")
-        if fleet.faults is not None and len(fleet.faults):
+        fleet._started = state["started"]
+        if state["arrivals"]:
+            fleet._schedule([order.entry() for order in state["arrivals"]])
+        if fleet._started and fleet.faults is not None and len(fleet.faults):
             steps = [s for s in fleet.faults.timeline()
                      if s[0] > state["cycle"]]
             if steps:
@@ -968,13 +983,26 @@ class FleetScheduler:
         return fleet
 
     # -- simulation processes ----------------------------------------------
-    def _arrivals(self, trace: "list[TenantSession]"):
-        for session in trace:
-            gap = session.arrival_cycle - self.sim.now
+    def _schedule(self, entries: "list[PendingSession]") -> None:
+        """Hold arrival-ordered ``entries`` in ``_future`` until each is
+        due; one arrival process replays them."""
+        self._future.update(dict.fromkeys(entries))
+        self.sim.process(self._arrivals(entries), name="fleet-arrivals")
+
+    def _arrivals(self, entries: "list[PendingSession]"):
+        """Move submitted entries into the queue at their arrival cycles,
+        skipping any withdrawn before they arrived."""
+        future = self._future
+        for entry in entries:
+            if entry not in future:
+                continue
+            gap = entry.session.arrival_cycle - self.sim.now
             if gap > 0:
                 yield self.sim.timeout(gap)
-            self._arrival_index += 1
-            self._pending.add(PendingSession(session))
+                if entry not in future:
+                    continue
+            del future[entry]
+            self._pending.add(entry)
             self._admit_loop()
             self._sample()
 

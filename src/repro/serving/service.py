@@ -30,21 +30,22 @@ never starves connected clients.
 
 Determinism bridge
 ------------------
-Admissions are validated immediately but *buffered*; the first fold
-into an untouched scheduler goes through :meth:`FleetScheduler.submit`
-— the exact machinery the batch path uses — so an admit-everything-
-then-drain script reproduces ``serve()`` **byte for byte** (pinned by
-``benchmarks/bench_service.py``). Folds after the simulation has
-started take the live :meth:`FleetScheduler.enqueue` path (arrivals in
-the past are enqueued now); the live path is deterministic for a given
-request timeline but makes no byte-equality promise against batch.
+Admissions are validated immediately but *buffered*; every advance
+first folds the backlog into the scheduler through
+:meth:`FleetScheduler.submit` — the one way in, which the batch path
+uses too. A script that admits everything before the first drain folds
+one batch, so it reproduces ``serve()`` **byte for byte** (pinned by
+``benchmarks/bench_service.py``). Later folds are further ``submit``
+batches (an arrival cycle already past arrives now); they are
+deterministic for a given request timeline but make no byte-equality
+promise against batch.
 
 Backpressure
 ------------
-``max_pending`` bounds buffered-plus-queued admissions. Over the bound,
-``admit`` answers ``status="busy"`` with a ``retry_after_cycles`` hint
-(the nearest expected departure) and the session is **not** enqueued —
-never silently dropped.
+``max_pending`` bounds buffered, not-yet-arrived and queued admissions.
+Over the bound, ``admit`` answers ``status="busy"`` with a
+``retry_after_cycles`` hint (the nearest expected departure) and the
+session is **not** enqueued — never silently dropped.
 
 Warm restart
 ------------
@@ -94,10 +95,6 @@ _PACER_INTERVAL = 0.005
 _DEFAULT_RETRY_CYCLES = 1_000_000
 
 
-def _arrival_order(session: TenantSession) -> tuple:
-    return (session.arrival_cycle, session.session_id)
-
-
 class ControlPlane:
     """The always-on serving service: one fleet, many protocol clients."""
 
@@ -142,11 +139,15 @@ class ControlPlane:
         return self.fleet.chips[0].chip.config.frequency_hz
 
     def queue_depth(self) -> int:
-        """Buffered + scheduler-pending admissions (the backpressure gauge)."""
-        return len(self._backlog) + len(self.fleet._pending)
+        """Buffered, not-yet-arrived and scheduler-pending admissions
+        (the backpressure gauge)."""
+        return (len(self._backlog) + len(self.fleet._future)
+                + len(self.fleet._pending))
 
     def _in_flight(self, session_id: int) -> bool:
         return (any(s.session_id == session_id for s in self._backlog)
+                or any(e.session.session_id == session_id
+                       for e in self.fleet._future)
                 or self.fleet._pending.find(session_id) is not None
                 or any(a.session.session_id == session_id
                        for a in self.fleet._active.values()))
@@ -210,7 +211,7 @@ class ControlPlane:
                            queue_depth=self.queue_depth())
 
     def withdraw(self, session_id: int) -> dict:
-        """Remove a buffered or scheduler-pending session by id."""
+        """Remove a buffered or scheduler-waiting session by id."""
         for session in self._backlog:
             if session.session_id == session_id:
                 self._backlog.remove(session)
@@ -222,33 +223,10 @@ class ControlPlane:
 
     # -- simulation advancement --------------------------------------------
     def _fold_backlog(self) -> None:
-        """Hand buffered admissions to the scheduler.
-
-        The first fold into an untouched scheduler is a batch
-        :meth:`submit` — identical machinery, so a script that admits
-        everything before the first drain reproduces ``serve()`` byte
-        for byte. Later folds use the live streaming path.
-        """
-        backlog = sorted(self._backlog, key=_arrival_order)
-        self._backlog = []
-        if not self.fleet._trace_loaded:
-            if backlog:
-                self.fleet.submit(backlog)
-            else:
-                self.fleet.begin_stream()
-            return
-        for session in backlog:
-            if session.arrival_cycle > self.fleet.sim.now:
-                self.fleet.sim.process(
-                    self._deferred_arrival(session),
-                    name=f"service-arrival-{session.session_id}")
-            else:
-                self.fleet.enqueue(session)
-
-    def _deferred_arrival(self, session: TenantSession):
-        yield self.fleet.sim.timeout(
-            session.arrival_cycle - self.fleet.sim.now)
-        self.fleet.enqueue(session)
+        """Hand buffered admissions to the scheduler as one ``submit``
+        batch (the first fold, even an empty one, starts the fleet)."""
+        backlog, self._backlog = self._backlog, []
+        self.fleet.submit(backlog)
 
     async def _advance(self, until: "int | None" = None) -> int:
         """Cooperatively drive the simulation (caller holds the lock).
@@ -347,7 +325,7 @@ class ControlPlane:
         clock — restore replaces the scheduler wholesale, which would
         silently discard a live run.
         """
-        if (self._backlog or self.fleet._trace_loaded
+        if (self._backlog or self.fleet._started
                 or self.fleet.sim.now > 0 or self.admitted_total):
             raise ServingError(
                 "restore refused: this service already has state; "
@@ -442,7 +420,7 @@ class ControlPlane:
         anchor_cycle = self.fleet.sim.now
         while not self._shutdown.is_set():
             async with self._lock:
-                touched = self._backlog or self.fleet._trace_loaded
+                touched = self._backlog or self.fleet._started
                 if touched:
                     if self.mode == "realtime":
                         elapsed = loop.time() - anchor_wall

@@ -104,6 +104,7 @@ from repro.errors import EpochTimeoutError, ServingError, WorkerFailure
 from repro.serving.config import ServingConfig
 from repro.serving.faults import FailureSchedule, partition_schedule
 from repro.serving.fleet import (
+    AdmitOrder,
     FleetScheduler,
     sum_mapper_stats,
     validate_session,
@@ -247,18 +248,6 @@ def generate_crash_schedule(seed: int, *, shards: int, epochs: int,
 
 
 @dataclass(frozen=True)
-class AdmitOrder:
-    """One committed admission: a session plus the preemption /
-    fault history it accumulated before this (re-)deal."""
-
-    session: TenantSession
-    preemptions: int = 0
-    evacuations: int = 0
-    kills: int = 0
-    lost_service_cycles: int = 0
-
-
-@dataclass(frozen=True)
 class EpochPlan:
     """A shard's committed plan for one epoch."""
 
@@ -279,9 +268,9 @@ class ShardSlice:
     """One shard: a chip group on its own simulator, driven by fences.
 
     A thin stateful wrapper around a per-shard
-    :class:`~repro.serving.fleet.FleetScheduler` opened in streaming
-    mode: the coordinator pushes committed admissions each epoch, the
-    slice runs its engine to the fence and reports its claim state.
+    :class:`~repro.serving.fleet.FleetScheduler`: each epoch the slice
+    hands the coordinator's committed admissions to ``submit``, runs
+    its engine to the fence and reports its claim state.
     ``spill_after_cycles=None`` disables spill proposals.
     """
 
@@ -291,12 +280,13 @@ class ShardSlice:
         self.shard_id = shard_id
         self.fleet = FleetScheduler(configs, **fleet_kwargs)
         self.spill_after_cycles = spill_after_cycles
-        #: session id -> cycle this slice enqueued it (spill aging).
+        #: session id -> cycle it arrives in this slice's queue (spill
+        #: aging).
         self._dealt_cycle: dict[int, int] = {}
         #: Per-list lengths of the metrics logs already shipped in a
         #: checkpoint (``None`` until the first one): the delta base.
         self._shipped: tuple[int, ...] | None = None
-        self.fleet.begin_stream()
+        self.fleet.submit(())  # starts the fault timeline
 
     # -- checkpointing -----------------------------------------------------
     def checkpoint(self, *, delta: bool = False) -> bytes:
@@ -386,34 +376,13 @@ class ShardSlice:
             for session_id in plan.withdrawals:
                 self.fleet.withdraw(session_id)
                 self._dealt_cycle.pop(session_id, None)
-            if plan.admissions:
-                self.fleet.sim.process(
-                    self._inject(plan.admissions),
-                    name=f"shard{self.shard_id}-epoch-arrivals")
+            now = self.fleet.sim.now
+            for order in plan.admissions:
+                self._dealt_cycle[order.session.session_id] = max(
+                    now, order.session.arrival_cycle)
+            self.fleet.submit(plan.admissions)
         self.fleet.run(until=fence)
         return self._report(fence)
-
-    def _inject(self, admissions: tuple[AdmitOrder, ...]):
-        """Replay one epoch's committed admissions at their cycles.
-
-        Orders arrive sorted by ``(arrival_cycle, session_id)``;
-        re-dealt sessions (spills, deferrals) with a past arrival are
-        enqueued immediately at the fence, fresh arrivals at their
-        recorded cycle — timeouts are nondecreasing, so one generator
-        replays the whole batch.
-        """
-        sim = self.fleet.sim
-        for order in admissions:
-            gap = order.session.arrival_cycle - sim.now
-            if gap > 0:
-                yield sim.timeout(gap)
-            self._dealt_cycle[order.session.session_id] = sim.now
-            self.fleet.enqueue(
-                order.session,
-                preemptions=order.preemptions,
-                evacuations=order.evacuations,
-                kills=order.kills,
-                lost_service_cycles=order.lost_service_cycles)
 
     def _report(self, fence: int) -> dict:
         fleet = self.fleet
@@ -424,12 +393,7 @@ class ShardSlice:
                 dealt = self._dealt_cycle.get(
                     entry.session.session_id, entry.session.arrival_cycle)
                 if fence - dealt >= self.spill_after_cycles:
-                    spills.append(AdmitOrder(
-                        session=entry.session,
-                        preemptions=entry.preemptions,
-                        evacuations=entry.evacuations,
-                        kills=entry.kills,
-                        lost_service_cycles=entry.lost_service_cycles))
+                    spills.append(AdmitOrder.of(entry))
         return {
             "free_cores": tuple(fc.free_cores() for fc in fleet.chips),
             "healthy": tuple(fc.healthy for fc in fleet.chips),

@@ -139,7 +139,6 @@ def test_field_equal_entries_are_distinct():
 
 def test_withdraw_drops_the_identical_object():
     fleet = FleetScheduler.homogeneous(1, cores=16)
-    fleet.begin_stream()
     first, second = twins()
     fleet._pending = PendingQueue([first, second])
     assert fleet.withdraw(0) is first
@@ -148,7 +147,6 @@ def test_withdraw_drops_the_identical_object():
 
 def test_placement_removes_the_identical_object():
     fleet = FleetScheduler.homogeneous(1, cores=16)
-    fleet.begin_stream()
     first, second = twins()
     fleet._pending = PendingQueue([first, second])
     assert fleet._place(second)
@@ -157,11 +155,11 @@ def test_placement_removes_the_identical_object():
 
 def test_snapshot_round_trip_recomputes_derived_fields():
     fleet = FleetScheduler.homogeneous(1, cores=16, policy="priority")
-    fleet.begin_stream()
     fleet.chips[0].hypervisor.create_vnpu(      # fills the chip
         VNpuSpec("busy", MeshShape(4, 4), 16 * MB))
-    fleet.enqueue(make_session(1, 0, 5, "", 2))
-    fleet.enqueue(make_session(2, 0, 0, "gold", 2))
+    fleet.submit([make_session(1, 0, 5, "", 2),
+                  make_session(2, 0, 0, "gold", 2)])
+    fleet.run(until=0)
     restored = FleetScheduler.restore(fleet.snapshot(), policy="priority")
     original = fleet.pending_sessions
     again = restored.pending_sessions

@@ -61,7 +61,6 @@ def build_fleet(seed: int, placement) -> FleetScheduler:
                 hypervisor.destroy_vnpu(vnpu.vmid)
         if rng.random() < 0.2:
             hypervisor.mark_failed()
-    fleet.begin_stream()
     return fleet
 
 

@@ -402,3 +402,60 @@ class TestWarmRestart:
         assert result.returncode == 0, result.stderr
         empty = json.loads(result.stdout)
         assert empty["sessions_completed"] == 0
+
+
+class TestLateFutureAdmission:
+    """A session admitted after the first fold, with its arrival cycle
+    still ahead, waits inside the fleet where every service operation
+    sees it: backpressure counts it, a duplicate is refused, it can be
+    withdrawn, and a snapshot carries it across a restart."""
+
+    @staticmethod
+    async def admit_late(plane, trace):
+        """Admit and fold the head of ``trace``, then admit and fold
+        its last session with an arrival cycle ahead of the clock."""
+        for session in trace[:-1]:
+            plane.admit(session)
+        await plane.drain(until=trace[-2].arrival_cycle)
+        now = plane.fleet.sim.now
+        late = dataclasses.replace(
+            trace[-1], arrival_cycle=max(trace[-1].arrival_cycle,
+                                         now + 1_000_000))
+        plane.admit(late)
+        depth = plane.queue_depth()
+        await plane.drain(until=now)  # folds the late session
+        return late, depth
+
+    def test_service_ops_see_the_not_yet_arrived_session(self):
+        trace = fleet_trace(sessions=4)
+
+        async def probe():
+            plane = make_plane()
+            late, depth = await self.admit_late(plane, trace)
+            assert plane.queue_depth() == depth
+            with pytest.raises(ServingError, match="already in flight"):
+                plane.admit(late)
+            withdrawn = plane.withdraw(late.session_id)
+            assert withdrawn["status"] == "ok"
+            assert plane.queue_depth() == depth - 1
+            done = await plane.drain()
+            return done["summary"]["sessions_completed"]
+
+        assert asyncio.run(probe()) == len(trace) - 1
+
+    def test_restart_before_its_arrival_byte_equals_oracle(self, tmp_path):
+        trace = fleet_trace(sessions=4)
+        snap = str(tmp_path / "svc.snapshot.pkl")
+
+        async def run(restart):
+            plane = make_plane()
+            await self.admit_late(plane, trace)
+            if restart:
+                plane.snapshot_to(snap)
+                plane = ControlPlane.restore(snap, autostart=False)
+            done = await plane.drain()
+            return canonical_json(done["summary"])
+
+        stopped, oracle = asyncio.run(run(True)), asyncio.run(run(False))
+        assert json.loads(oracle)["sessions_completed"] == len(trace)
+        assert stopped == oracle

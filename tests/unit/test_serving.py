@@ -289,11 +289,22 @@ class TestOneChipFleet:
         with pytest.raises(ServingError):
             scheduler.run()
 
-    def test_double_submit_raises(self):
-        scheduler, _ = self.make()
-        scheduler.submit(generate_trace(1, 3, max_cores=16))
-        with pytest.raises(ServingError):
-            scheduler.submit(generate_trace(2, 3, max_cores=16))
+    def test_second_submit_is_served(self):
+        # submit is the one way in and may be called again mid-run: the
+        # second batch (one arrival already past, one ahead) is served
+        # alongside the first.
+        scheduler, hv = self.make()
+        first = generate_trace(1, 3, max_cores=16)
+        scheduler.submit(first)
+        scheduler.run(until=first[-1].arrival_cycle)
+        now = scheduler.sim.now
+        second = [session(session_id=100, arrival=now - 1),
+                  session(session_id=101, arrival=now + 1_000)]
+        scheduler.submit(second)
+        scheduler.run()
+        served = sorted(r.session_id for r in scheduler.metrics.records)
+        assert served == sorted(s.session_id for s in first + second)
+        assert not hv.vnpus and scheduler.free_core_count() == 16
 
     def test_unknown_model_rejected_at_submit(self):
         scheduler, _ = self.make()

@@ -81,7 +81,7 @@ class TestSnapshotRoundTrip:
         state = fleet.snapshot()
         assert state["cycle"] == 5_000_000
         assert state["active"], "pause point should have residents"
-        assert state["remaining_trace"], "pause point should have arrivals"
+        assert state["arrivals"], "pause point should have arrivals"
 
     def test_restore_into_used_hypervisor_rejected(self):
         fleet = FleetScheduler.homogeneous(4, cores=16)
@@ -115,6 +115,45 @@ class TestContinuedRunEquivalence:
                                            failures=3)
         restored, oracle, _ = run_split(trace, 5_000_000, faults=faults)
         assert summary_of(restored) == summary_of(oracle)
+
+    @pytest.mark.parametrize("pause_at", [2_000_000, 5_000_000])
+    def test_pause_between_two_submit_batches(self, pause_at):
+        # Two interleaved batches: the first still has sessions ahead
+        # of the pause (the snapshot carries them), the second is
+        # submitted after it, to the restored fleet or the original.
+        trace = fleet_trace()
+
+        def run(restart):
+            fleet = FleetScheduler.homogeneous(4, cores=16)
+            fleet.submit(trace[::2])
+            fleet.run(until=pause_at)
+            if restart:
+                state = fleet.snapshot()
+                assert state["arrivals"], "pause point should have arrivals"
+                fleet = FleetScheduler.restore(state)
+            fleet.submit(trace[1::2])
+            fleet.run()
+            return summary_of(fleet)
+
+        assert run(restart=True) == run(restart=False)
+
+    def test_restore_before_the_first_submit_starts_faults_once(self):
+        # A snapshot of a fleet nothing was submitted to yet: the fault
+        # timeline starts with the restored fleet's first submit, once.
+        trace = fleet_trace(seed=3)
+        faults = generate_failure_schedule(seed=7, chips=4,
+                                           horizon_cycles=40_000_000,
+                                           failures=3)
+
+        def run(restart):
+            fleet = FleetScheduler.homogeneous(4, cores=16, faults=faults)
+            if restart:
+                fleet = FleetScheduler.restore(fleet.snapshot())
+            fleet.submit(trace)
+            fleet.run()
+            return summary_of(fleet)
+
+        assert run(restart=True) == run(restart=False)
 
     def test_cost_cache_rides_the_checkpoint(self):
         # Memoized prices are keyed (config, model, shape) but priced on
