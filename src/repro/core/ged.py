@@ -14,18 +14,24 @@ Two solvers:
   distance; near-optimal on the sparse, near-regular graphs that NPU
   topologies are.
 
-Heterogeneous penalties (Algorithm 1's ``NodeMatch`` / ``EdgeMatch``) plug
-in through :class:`EditCosts`: node attributes ("abbr") priced by
-``node_substitute`` and per-edge criticality priced by ``edge_delete``.
+Heterogeneous penalties (Algorithm 1's ``NodeMatch`` / ``EdgeMatch``) are
+data, not callbacks: :class:`EditCosts` holds a mismatch price per source
+tag and a deletion price per request edge next to the flat prices. One
+numpy-built reward matrix and one closed-form lower bound price every
+``EditCosts``; the scalar loops they replace are kept with the tests as
+the identity oracle. Every price is a multiple of 1/16, so every sum the
+mapper forms is exact and the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import numbers
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -36,48 +42,80 @@ from repro.errors import TopologyError
 #: Sentinel for "mapped to epsilon" (deleted / inserted).
 EPS = None
 
-
-def _default_node_substitute(attr1: str, attr2: str) -> float:
-    """Penalty for relabelling a source node as a target node.
-
-    An *untagged* source node (empty attribute) is "don't care": tenants
-    that did not request heterogeneous cores may land on any physical
-    core — including memory-interface-tagged ones — for free. A tagged
-    source node costs one edit when the target's tag differs.
-    """
-    if not attr1:
-        return 0.0
-    return 0.0 if attr1 == attr2 else 1.0
+#: Largest accepted price. With prices in steps of 1/16 below it, every
+#: sum of prices the mapper forms stays exact in a double.
+MAX_PRICE = 2.0 ** 32
 
 
-def _default_edge_cost(topology: Topology, u: int, v: int) -> float:
-    return 1.0
+def _price(name: str, value: object, positive: bool) -> float:
+    """``value`` as a validated price, else :class:`TopologyError`."""
+    if not isinstance(value, numbers.Real):
+        raise TopologyError(f"{name} must be a number, got {value!r}")
+    price = float(value)
+    if not (math.isfinite(price) and (16 * price).is_integer()):
+        raise TopologyError(
+            f"{name} must be a finite multiple of 1/16, got {value!r}")
+    if price < 0 or price > MAX_PRICE or (positive and price == 0):
+        bounds = "(0, 2**32]" if positive else "[0, 2**32]"
+        raise TopologyError(f"{name} must lie in {bounds}, got {value!r}")
+    return price
 
 
-@dataclass
+@dataclass(frozen=True)
 class EditCosts:
-    """Pluggable edit-operation costs.
+    """Edit-operation prices, as data.
 
-    ``node_substitute(a, b)`` prices relabelling a node with attribute
-    ``a`` as one with attribute ``b`` (Algorithm 1's NodeMatch penalty).
-    ``edge_delete(topology, u, v)`` prices losing edge ``(u, v)`` of the
-    *request* topology — return a large value for critical edges
-    (Algorithm 1's EdgeMatch). Insertions use flat costs.
+    ``tag_mismatch`` maps a *source* (request) node's tag to the price of
+    placing that node on a core with another tag (Algorithm 1's NodeMatch
+    penalty). Unlisted tags cost 1, and untagged nodes (tag ``""``) are
+    "don't care" by default: tenants that did not ask for heterogeneous
+    cores land on any core, memory-interface-tagged ones included, for
+    free. ``edge_delete_at`` maps a request edge ``(u, v)`` to the price of
+    losing it (Algorithm 1's EdgeMatch: list critical edges with a high
+    price); unlisted edges cost the flat ``edge_delete``. Node deletion
+    and node and edge insertion are flat.
+
+    Both tables may be passed as mappings; they are stored as sorted
+    tuples of items, so the object is hashable and equal tables compare
+    equal. Every price must be a finite multiple of 1/16 no larger than
+    :data:`MAX_PRICE`; tag prices may be 0, every structural price must be
+    positive. Anything else raises :class:`TopologyError`.
     """
 
-    node_substitute: Callable[[str, str], float] = field(
-        default=_default_node_substitute)
+    tag_mismatch: Mapping[str, float] = ()
+    edge_delete_at: Mapping[tuple[int, int], float] = ()
     node_delete: float = 1.0
     node_insert: float = 1.0
-    edge_delete: Callable[[Topology, int, int], float] = field(
-        default=_default_edge_cost)
+    edge_delete: float = 1.0
     edge_insert: float = 1.0
 
-    def node_sub(self, t1: Topology, n1: int, t2: Topology, n2: int) -> float:
-        return self.node_substitute(t1.attr(n1), t2.attr(n2))
+    def __post_init__(self) -> None:
+        for name in ("node_delete", "node_insert", "edge_delete",
+                     "edge_insert"):
+            object.__setattr__(self, name,
+                               _price(name, getattr(self, name), True))
+        tags = {str(tag): _price(f"tag_mismatch[{tag!r}]", price, False)
+                for tag, price in dict(self.tag_mismatch).items()}
+        edges = {(min(u, v), max(u, v)):
+                 _price(f"edge_delete_at[{(u, v)!r}]", price, True)
+                 for (u, v), price in dict(self.edge_delete_at).items()}
+        object.__setattr__(self, "tag_mismatch", tuple(sorted(tags.items())))
+        object.__setattr__(self, "edge_delete_at",
+                           tuple(sorted(edges.items())))
+        object.__setattr__(self, "_tags", tags)
+        object.__setattr__(self, "_edges", edges)
 
-    def edge_del(self, t1: Topology, u: int, v: int) -> float:
-        return self.edge_delete(t1, u, v)
+    def tag_price(self, tag: str) -> float:
+        """Price of a request node tagged ``tag`` on a core tagged otherwise."""
+        return self._tags.get(tag, 1.0 if tag else 0.0)
+
+    def substitute(self, source_tag: str, target_tag: str) -> float:
+        """Price of relabelling a ``source_tag`` node as a ``target_tag`` one."""
+        return 0.0 if source_tag == target_tag else self.tag_price(source_tag)
+
+    def edge_price(self, u: int, v: int) -> float:
+        """Price of deleting request edge ``(u, v)``."""
+        return self._edges.get((u, v) if u < v else (v, u), self.edge_delete)
 
 
 def induced_edit_cost(t1: Topology, t2: Topology,
@@ -103,14 +141,14 @@ def induced_edit_cost(t1: Topology, t2: Topology,
         if n2 is EPS:
             total += costs.node_delete
         else:
-            total += costs.node_sub(t1, n1, t2, n2)
+            total += costs.substitute(t1.attr(n1), t2.attr(n2))
     total += (t2.node_count - len(images)) * costs.node_insert
 
     image_set = set(images)
     for u, v in t1.edges:
         mu, mv = mapping[u], mapping[v]
         if mu is EPS or mv is EPS or not t2.has_edge(mu, mv):
-            total += costs.edge_del(t1, u, v)
+            total += costs.edge_price(u, v)
     for a, b in t2.edges:
         if a not in image_set or b not in image_set:
             total += costs.edge_insert
@@ -194,15 +232,15 @@ def _assignment_step_cost(t1, t2, order, assignment, node, candidate, costs):
         for prior_index, prior_image in enumerate(assignment):
             prior = order[prior_index]
             if t1.has_edge(node, prior):
-                step += costs.edge_del(t1, node, prior)
+                step += costs.edge_price(node, prior)
         return step
-    step = costs.node_sub(t1, node, t2, candidate)
+    step = costs.substitute(t1.attr(node), t2.attr(candidate))
     for prior_index, prior_image in enumerate(assignment):
         prior = order[prior_index]
         e1 = t1.has_edge(node, prior)
         e2 = prior_image is not EPS and t2.has_edge(candidate, prior_image)
         if e1 and not e2:
-            step += costs.edge_del(t1, node, prior)
+            step += costs.edge_price(node, prior)
         elif e2 and not e1:
             step += costs.edge_insert
     return step
@@ -222,92 +260,79 @@ def _closing_cost(t1, t2, order, assignment, costs):
 # Bipartite (Riesen-Bunke) approximation
 # ---------------------------------------------------------------------------
 
-def _pair_cost_block(t1: Topology, t2: Topology,
-                     costs: EditCosts) -> "np.ndarray | None":
-    """Vectorized substitution-plus-local-edge block of the reward matrix.
+def _degrees(topology: Topology) -> np.ndarray:
+    return np.array([topology.degree(node) for node in topology.nodes],
+                    dtype=np.float64)
 
-    Returns the ``n1 x n2`` block built entirely with numpy broadcasting,
-    or ``None`` when either cost callable is customized (arbitrary Python
-    callables cannot be vectorized; callers fall back to the scalar
-    loop). Under the default costs every term is a dyadic rational and
-    each elementwise operation mirrors the scalar expression tree, so the
-    block is **bit-identical** to the loop-built one — the Hungarian
-    assignment, and hence the mapping, cannot drift.
+
+def _adjacent_delete(t1: Topology, costs: EditCosts,
+                     deg1: np.ndarray) -> np.ndarray:
+    """Each request node's total incident edge-deletion price: the flat
+    price per edge, corrected for the listed edges (exact, since every
+    price is a multiple of 1/16)."""
+    total = deg1 * costs.edge_delete
+    if costs.edge_delete_at:
+        index = {node: i for i, node in enumerate(t1.nodes)}
+        for (u, v), price in costs.edge_delete_at:
+            if t1.has_edge(u, v):
+                total[index[u]] += price - costs.edge_delete
+                total[index[v]] += price - costs.edge_delete
+    return total
+
+
+def _pair_cost_block(t1: Topology, t2: Topology,
+                     costs: EditCosts) -> np.ndarray:
+    """Substitution-plus-local-edge block of the reward matrix.
+
+    Returns the ``n1 x n2`` block built with numpy broadcasting. Each
+    elementwise operation mirrors the expression tree of the scalar loop
+    that prices one pair at a time (kept with the tests as the oracle),
+    and every price is a multiple of 1/16, so the block is
+    **bit-identical** to the loop-built one: the Hungarian assignment,
+    and hence the mapping, cannot drift.
     """
-    if (costs.node_substitute is not _default_node_substitute
-            or costs.edge_delete is not _default_edge_cost):
-        return None
-    deg1 = np.array([t1.degree(u) for u in t1.nodes], dtype=np.float64)
-    deg2 = np.array([t2.degree(v) for v in t2.nodes], dtype=np.float64)
-    attrs1 = np.array([t1.attr(u) for u in t1.nodes], dtype=object)
+    deg1 = _degrees(t1)
+    deg2 = _degrees(t2)
+    adjacent_del = _adjacent_delete(t1, costs, deg1)
+    tags1 = [t1.attr(u) for u in t1.nodes]
+    attrs1 = np.array(tags1, dtype=object)
     attrs2 = np.array([t2.attr(v) for v in t2.nodes], dtype=object)
-    # Default node_substitute: a *tagged* source pays 1.0 iff the target's
-    # tag differs; untagged sources map anywhere for free.
-    sub = ((attrs1[:, None] != "") & (attrs1[:, None] != attrs2[None, :])
-           ).astype(np.float64)
+    prices1 = np.array([costs.tag_price(tag) for tag in tags1],
+                       dtype=np.float64)
+    # A source pays its tag's price iff the target's tag differs.
+    sub = (attrs1[:, None] != attrs2[None, :]) * prices1[:, None]
     diff = deg1[:, None] - deg2[None, :]
-    # deg1 > deg2: unit edge costs make adjacent_del == deg1, so the
-    # scalar's adjacent_del / max(deg1, 1) collapses to exactly 1.0
-    # (deg1 > deg2 >= 0 implies deg1 >= 1). deg2 > deg1 prices the
-    # degree excess as insertions, matching the scalar operation order.
-    local = np.where(diff > 0.0, 0.5 * diff, (0.5 * -diff) * costs.edge_insert)
+    # deg1 > deg2 prices u's unmatched edges at u's mean deletion price
+    # (exactly 1.0 under flat unit prices); deg2 > deg1 prices the degree
+    # excess as insertions.
+    mean_del = adjacent_del / np.maximum(deg1, 1.0)
+    local = np.where(diff > 0.0, (0.5 * diff) * mean_del[:, None],
+                     (0.5 * -diff) * costs.edge_insert)
     return sub + local
 
 
 def bipartite_ged(t1: Topology, t2: Topology,
-                  costs: EditCosts | None = None,
-                  vectorize: bool = True) -> float:
+                  costs: EditCosts | None = None) -> float:
     """Upper-bound edit distance via Hungarian node assignment.
 
     The cost matrix prices each node pair with its substitution cost plus
     half the local edge mismatch (each edge is shared by two endpoints);
     deletions/insertions carry their adjacent edges. The winning
     assignment is then re-priced exactly with :func:`induced_edit_cost`.
-    ``vectorize=False`` forces the scalar reference loop (the identity
-    oracle); vectorization also falls back automatically on custom cost
-    callables.
     """
     costs = costs or EditCosts()
     nodes1, nodes2 = t1.nodes, t2.nodes
     n1, n2 = len(nodes1), len(nodes2)
     size = n1 + n2
     big = 1e18
-    matrix = np.full((size, size), 0.0)
-
-    block = _pair_cost_block(t1, t2, costs) if vectorize and n1 and n2 \
-        else None
-    if block is not None:
-        deg1 = np.array([t1.degree(u) for u in nodes1], dtype=np.float64)
-        deg2 = np.array([t2.degree(v) for v in nodes2], dtype=np.float64)
-        matrix[:n1, :n2] = block
-        matrix[:n1, n2:] = big
-        matrix[:n1, n2:][np.arange(n1), np.arange(n1)] = \
-            costs.node_delete + 0.5 * deg1
-        matrix[n1:, :n2] = big
-        matrix[n1:, :n2][np.arange(n2), np.arange(n2)] = \
-            costs.node_insert + (0.5 * deg2) * costs.edge_insert
-    else:
-        for i, u in enumerate(nodes1):
-            deg1 = t1.degree(u)
-            adjacent_del = sum(
-                costs.edge_del(t1, u, nbr) for nbr in t1.neighbors(u)
-            )
-            for j, v in enumerate(nodes2):
-                deg2 = t2.degree(v)
-                local = 0.0
-                if deg1 > deg2:
-                    # Some of u's edges will have no counterpart.
-                    local += 0.5 * (deg1 - deg2) * (adjacent_del / max(deg1, 1))
-                elif deg2 > deg1:
-                    local += 0.5 * (deg2 - deg1) * costs.edge_insert
-                matrix[i, j] = costs.node_sub(t1, u, t2, v) + local
-            matrix[i, n2:] = big
-            matrix[i, n2 + i] = costs.node_delete + 0.5 * adjacent_del
-        for j, v in enumerate(nodes2):
-            matrix[n1:, j] = big
-            matrix[n1 + j, j] = (costs.node_insert
-                                 + 0.5 * t2.degree(v) * costs.edge_insert)
-    matrix[n1:, n2:] = 0.0
+    matrix = np.zeros((size, size))
+    matrix[:n1, :n2] = _pair_cost_block(t1, t2, costs)
+    matrix[:n1, n2:] = big
+    matrix[:n1, n2:][np.arange(n1), np.arange(n1)] = \
+        costs.node_delete + 0.5 * _adjacent_delete(t1, costs, _degrees(t1))
+    matrix[n1:, :n2] = big
+    matrix[n1:, :n2][np.arange(n2), np.arange(n2)] = \
+        costs.node_insert + (0.5 * _degrees(t2)) * costs.edge_insert
 
     rows, cols = linear_sum_assignment(matrix)
     mapping: dict[int, int | None] = {}
@@ -318,17 +343,14 @@ def bipartite_ged(t1: Topology, t2: Topology,
 
 
 def best_bijection(t1: Topology, t2: Topology,
-                   costs: EditCosts | None = None,
-                   vectorize: bool = True) -> tuple[float, dict[int, int]]:
+                   costs: EditCosts | None = None
+                   ) -> tuple[float, dict[int, int]]:
     """Minimum-cost *bijective* node mapping between equal-sized topologies.
 
     This is what core allocation needs (requirement R-1 fixes the node
     count): a Hungarian assignment over substitution-plus-local-edge
-    costs, re-priced exactly. Returns ``(cost, mapping t1-node -> t2-node)``.
-    The reward matrix is built with numpy broadcasting
-    (:func:`_pair_cost_block`, bit-identical to the loop) unless
-    ``vectorize=False`` selects the scalar reference loop or a custom
-    cost callable forces it.
+    costs (:func:`_pair_cost_block`), re-priced exactly. Returns
+    ``(cost, mapping t1-node -> t2-node)``.
     """
     costs = costs or EditCosts()
     if t1.node_count != t2.node_count:
@@ -336,31 +358,13 @@ def best_bijection(t1: Topology, t2: Topology,
             f"bijection needs equal sizes ({t1.node_count} vs {t2.node_count})"
         )
     nodes1, nodes2 = t1.nodes, t2.nodes
-    n = len(nodes1)
-    matrix = _pair_cost_block(t1, t2, costs) if vectorize and n else None
-    if matrix is None:
-        matrix = np.zeros((n, n))
-        for i, u in enumerate(nodes1):
-            deg1 = t1.degree(u)
-            adjacent_del = sum(
-                costs.edge_del(t1, u, nbr) for nbr in t1.neighbors(u)
-            )
-            for j, v in enumerate(nodes2):
-                deg2 = t2.degree(v)
-                local = 0.0
-                if deg1 > deg2:
-                    local += 0.5 * (deg1 - deg2) * (adjacent_del / max(deg1, 1))
-                elif deg2 > deg1:
-                    local += 0.5 * (deg2 - deg1) * costs.edge_insert
-                matrix[i, j] = costs.node_sub(t1, u, t2, v) + local
-    rows, cols = linear_sum_assignment(matrix)
+    rows, cols = linear_sum_assignment(_pair_cost_block(t1, t2, costs))
     mapping = {nodes1[row]: nodes2[col] for row, col in zip(rows, cols)}
     return induced_edit_cost(t1, t2, mapping, costs), mapping
 
 
 def bijection_lower_bound(t1: Topology, t2: Topology,
-                          costs: EditCosts | None = None,
-                          vectorize: bool = True) -> float:
+                          costs: EditCosts | None = None) -> float:
     """Admissible lower bound on any bijection's induced edit cost.
 
     The topology mapper screens candidate core sets with this before
@@ -368,11 +372,9 @@ def bijection_lower_bound(t1: Topology, t2: Topology,
     exceeds an incumbent's *exact* score cannot win the R-2 argmin. The
     bound is the sum of two independently-minimal terms:
 
-    - **node term** — the cheapest possible substitution assignment.
-      Under the default cost this is the attribute-multiset excess (each
-      tagged source either finds a same-tag target or pays one edit);
-      custom substitution functions fall back to a Hungarian assignment
-      over substitution costs alone.
+    - **node term** — the cheapest possible substitution assignment,
+      exact in closed form: each source tag's excess over the same-tag
+      targets, priced at that tag's mismatch price.
     - **edge term** — a degree-sequence bound: with both degree
       sequences sorted ascending, no bijection can match more than
       ``floor(sum_i min(d1_i, d2_i) / 2)`` edges, so the remaining
@@ -387,114 +389,39 @@ def bijection_lower_bound(t1: Topology, t2: Topology,
     if t1.node_count == 0:
         return 0.0
     node_term = _node_assignment_lower_bound(t1, t2, costs)
-    if vectorize:
-        # Same integers, numpy-sorted: sort/min/sum on int64 is exact,
-        # so the bound is identical to the scalar loop's.
-        s1 = np.sort(np.array([t1.degree(node) for node in t1.nodes],
-                              dtype=np.int64))
-        s2 = np.sort(np.array([t2.degree(node) for node in t2.nodes],
-                              dtype=np.int64))
-        matchable = int(np.minimum(s1, s2).sum()) // 2
-    else:
-        s1 = sorted(t1.degree(node) for node in t1.nodes)
-        s2 = sorted(t2.degree(node) for node in t2.nodes)
-        matchable = sum(min(a, b) for a, b in zip(s1, s2)) // 2
-    deletions = max(0, t1.edge_count - matchable)
+    s1 = np.sort(np.array([t1.degree(node) for node in t1.nodes],
+                          dtype=np.int64))
+    s2 = np.sort(np.array([t2.degree(node) for node in t2.nodes],
+                          dtype=np.int64))
+    matchable = int(np.minimum(s1, s2).sum()) // 2
+    edges1 = t1.edge_count
+    deletions = max(0, edges1 - matchable)
     insertions = max(0, t2.edge_count - matchable)
     edge_term = insertions * costs.edge_insert
     if deletions:
-        if vectorize and costs.edge_delete is _default_edge_cost:
-            cheapest = 1.0  # every request edge prices identically
-        else:
-            cheapest = min(costs.edge_del(t1, u, v) for u, v in t1.edges)
-        edge_term += deletions * cheapest
+        # Every deleted request edge costs at least the cheapest one.
+        listed = [price for (u, v), price in costs.edge_delete_at
+                  if t1.has_edge(u, v)]
+        if len(listed) < edges1:
+            listed.append(costs.edge_delete)
+        edge_term += deletions * min(listed)
     return node_term + edge_term
 
 
 def _node_assignment_lower_bound(t1: Topology, t2: Topology,
                                  costs: EditCosts) -> float:
-    """Minimum total node-substitution cost over all bijections."""
-    if costs.node_substitute is _default_node_substitute:
-        # Untagged sources map anywhere for free; a tagged source needs a
-        # same-tag target or pays exactly one edit, and tags only compete
-        # with their own kind — the minimum is the per-tag excess.
-        counts2 = Counter(t2.attr(node) for node in t2.nodes)
-        counts1 = Counter(t1.attr(node) for node in t1.nodes)
-        return float(sum(
-            max(0, count - counts2.get(tag, 0))
-            for tag, count in counts1.items() if tag
-        ))
-    matrix = np.array([
-        [costs.node_sub(t1, u, t2, v) for v in t2.nodes]
-        for u in t1.nodes
-    ])
-    rows, cols = linear_sum_assignment(matrix)
-    return float(matrix[rows, cols].sum())
+    """Minimum total node-substitution cost over all bijections.
 
-
-def _bijection_edge_cost(t1: Topology, t2: Topology,
-                         mapping: dict[int, int],
-                         inverse: dict[int, int],
-                         costs: EditCosts,
-                         touched_t1: set[int] | None = None) -> float:
-    """Edge-mismatch cost of a bijection, optionally restricted to edges
-    incident to ``touched_t1`` request nodes (and their images)."""
-    total = 0.0
-    touched_images = (
-        None if touched_t1 is None else {mapping[n] for n in touched_t1}
-    )
-    for u, v in t1.edges:
-        if touched_t1 is not None and u not in touched_t1 and v not in touched_t1:
-            continue
-        if not t2.has_edge(mapping[u], mapping[v]):
-            total += costs.edge_del(t1, u, v)
-    for a, b in t2.edges:
-        if touched_images is not None and a not in touched_images \
-                and b not in touched_images:
-            continue
-        if not t1.has_edge(inverse[a], inverse[b]):
-            total += costs.edge_insert
-    return total
-
-
-def refine_bijection(t1: Topology, t2: Topology,
-                     mapping: dict[int, int],
-                     costs: EditCosts | None = None,
-                     max_passes: int = 6) -> tuple[float, dict[int, int]]:
-    """Improve a bijection by greedy pairwise swaps (2-opt hill climbing).
-
-    The Hungarian seed optimizes node-local costs only; edge alignment is
-    a quadratic-assignment term it cannot see. Swapping image pairs with
-    incremental (incident-edges-only) cost evaluation recovers most of the
-    gap cheaply. Returns the refined ``(cost, mapping)``.
+    A source node maps to a same-tag target for free and pays its own
+    tag's price wherever else it lands, and tags only compete with their
+    own kind, so the minimum is each tag's excess at that tag's price.
     """
-    costs = costs or EditCosts()
-    mapping = dict(mapping)
-    inverse = {p: v for v, p in mapping.items()}
-    nodes = t1.nodes
-    for _ in range(max_passes):
-        improved = False
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                touched = {a, b}
-                node_before = (costs.node_sub(t1, a, t2, mapping[a])
-                               + costs.node_sub(t1, b, t2, mapping[b]))
-                before = node_before + _bijection_edge_cost(
-                    t1, t2, mapping, inverse, costs, touched)
-                mapping[a], mapping[b] = mapping[b], mapping[a]
-                inverse[mapping[a]], inverse[mapping[b]] = a, b
-                node_after = (costs.node_sub(t1, a, t2, mapping[a])
-                              + costs.node_sub(t1, b, t2, mapping[b]))
-                after = node_after + _bijection_edge_cost(
-                    t1, t2, mapping, inverse, costs, touched)
-                if after + 1e-12 < before:
-                    improved = True
-                else:  # revert
-                    mapping[a], mapping[b] = mapping[b], mapping[a]
-                    inverse[mapping[a]], inverse[mapping[b]] = a, b
-        if not improved:
-            break
-    return induced_edit_cost(t1, t2, mapping, costs), mapping
+    counts2 = Counter(t2.attr(node) for node in t2.nodes)
+    counts1 = Counter(t1.attr(node) for node in t1.nodes)
+    return float(sum(
+        costs.tag_price(tag) * max(0, count - counts2.get(tag, 0))
+        for tag, count in counts1.items()
+    ))
 
 
 def ged(t1: Topology, t2: Topology, costs: EditCosts | None = None,

@@ -57,7 +57,6 @@ from repro.core.topology_mapping import (
 from repro.core.vchunk import AccessCounter, RangeTranslator, RTT_ENTRY_BITS
 from repro.core.vnpu import VirtualNPU, VNpuSpec
 from repro.core.vrouter import NocVRouter
-from repro.core.ged import EditCosts
 from repro.errors import AllocationError, HypervisorError
 from repro.mem.buddy import Block, BuddyAllocator
 
@@ -93,7 +92,6 @@ class Hypervisor:
     """
 
     def __init__(self, chip: Chip, strategy: str = "similar",
-                 costs: EditCosts | None = None,
                  rtt_tlb_entries: int = 4,
                  min_block: int = 1 << 20,
                  memos: ShapeMemos | None = None) -> None:
@@ -102,8 +100,7 @@ class Hypervisor:
         self.strategy = strategy
         # ``memos``: the mapper memos of an equal chip type to share
         # (see TopologyMapper); None keeps them private.
-        self.mapper = TopologyMapper(chip.topology, costs=costs,
-                                     memos=memos)
+        self.mapper = TopologyMapper(chip.topology, memos=memos)
         self.rtt_tlb_entries = rtt_tlb_entries
         capacity = _largest_pow2_at_most(chip.config.memory.capacity_bytes)
         self.buddy = BuddyAllocator(capacity=capacity, min_block=min_block)

@@ -42,21 +42,20 @@ built for speed:
   the considered/pruned/refined counters);
 - *delta-evaluated 2-opt* — ``_polish`` re-prices only the terms a swap
   can change (O(degree) per trial) instead of the full objective, with a
-  best-so-far early exit across refinement seeds. Deltas are used only
-  when the edit costs are provably dyadic (the defaults are); exotic
-  float costs fall back to the full-recompute refine so accept/reject
+  best-so-far early exit across refinement seeds. Every
+  :class:`~repro.core.ged.EditCosts` price is a multiple of 1/16, so the
+  deltas track the full objective bit for bit and accept/reject
   decisions — and hence results — never drift;
 - *numpy-vectorized inner loops* — Hungarian reward matrices and
   admissible lower bounds are built with broadcasting
   (:func:`~repro.core.ged._pair_cost_block`, bit-identical to the scalar
-  loops under the default dyadic costs), and hop tables come from one
-  multi-source matrix-BFS instead of per-node Python BFS. Custom cost
-  callables automatically fall back to the scalar loops.
+  loops for every ``EditCosts``), and hop tables come from one
+  multi-source matrix-BFS instead of per-node Python BFS.
 
 The unoptimized reference implementation of Algorithm 1 lives with the
 tests, as ``ReferenceMapper`` in ``tests/unit/mapping_oracle.py``: fresh
-free-set builds, no memos or screening, a serial Hungarian loop and the
-full-recompute polish over every seed. Property tests and the
+free-set builds, no memos or screening, the scalar Hungarian loop and
+the full-recompute polish over every seed. Property tests and the
 ``bench_mapping_perf`` corpus replay hold this mapper to identical
 ``(distance, vmap)`` results.
 
@@ -80,7 +79,7 @@ with base 0 through the same code path.
 and so is a whole :meth:`TopologyMapper.map_similar` result: its memo
 key is the request's structure and the free-core set, and chips of
 one type with equal free sets place identically. Sharing requires
-equal chip topologies (a chip failure never edits one) and the default
+equal chip topologies (a chip failure never edits one) and equal
 :class:`~repro.core.ged.EditCosts`. Every memo stays LRU-bounded by
 ``memo_size`` and every counter stays per mapper.
 """
@@ -94,8 +93,6 @@ from functools import lru_cache
 from repro.arch.topology import Topology
 from repro.core.ged import (
     EditCosts,
-    _default_edge_cost,
-    _default_node_substitute,
     best_bijection,
     bijection_lower_bound,
     induced_edit_cost,
@@ -170,12 +167,12 @@ class ShapeMemos:
     enumerations, both keyed by free set, and the shape-keyed
     certificate, lower-bound, Hungarian-score and polish memos (see the
     module docstring), each LRU-bounded by ``memo_size``. ``identity``
-    is the chip's structural key, which a mapper must match to share
-    the object: ``None`` for custom edit costs, which never share.
+    is the chip's structural key and the edit costs, which a mapper must
+    match to share the object.
     """
 
     def __init__(self, chip: Topology, memo_size: int,
-                 identity: tuple | None) -> None:
+                 identity: tuple) -> None:
         self.memo_size = memo_size
         self.identity = identity
         self.results: OrderedDict[tuple, MappingResult] = OrderedDict()
@@ -271,23 +268,9 @@ class TopologyMapper:
         #: hit may be a result priced on a sibling chip.
         self.cache_hits = 0
         self.cache_misses = 0
-        # Delta-evaluated 2-opt tracks the full recomputation bit-for-bit
-        # only when every objective term is a small dyadic rational —
-        # default cost callables plus 1/16-granular scalars qualify.
-        # Exotic float costs (e.g. 0.1) sum non-associatively and could
-        # flip accept decisions at the 1e-12 threshold, so they fall back
-        # to the full-recompute refine (screening and memos stay on:
-        # their equivalence does not depend on summation order).
-        self._delta_exact = (
-            self.costs.node_substitute is _default_node_substitute
-            and self.costs.edge_delete is _default_edge_cost
-            and all(
-                (16 * float(value)).is_integer()
-                for value in (self.costs.node_delete,
-                              self.costs.node_insert,
-                              self.costs.edge_insert)
-            )
-        )
+        #: Whether untagged request nodes substitute free, so an untagged
+        #: mesh slid onto free cells is exact whatever their tags.
+        self._untagged_free = self.costs.tag_price("") == 0.0
         # Chip-level lookups hoisted out of _mesh_placements (they are
         # pure functions of the chip): coordinate index, grid extents and
         # the boustrophedon walk of the full chip.
@@ -312,20 +295,19 @@ class TopologyMapper:
         #: share. One object can serve a whole fleet's chips of a type,
         #: and a 36-core best-fit fleet prices ~9k distinct shapes, so
         #: the bound sits above that.
-        identity = (self._request_key(chip_topology)
-                    if self.costs == EditCosts() else None)
+        identity = (self._request_key(chip_topology), self.costs)
         if memos is None:
             memos = ShapeMemos(chip_topology, memo_size, identity)
-        elif identity is None or memos.identity != identity:
+        elif memos.identity != identity:
             raise TopologyError(
                 "shape memos are shared only between mappers of equal "
-                "chips under the default edit costs")
+                "chips and equal edit costs")
         self.memos = memos
         #: Whether ``holds_exact_mesh`` can decide: the chip is exactly
         #: ``Topology.mesh2d`` and distance 0 means an isomorphic
-        #: induced candidate (default edit costs).
-        self._rectangles_decide = (bool(memos._cols)
-                                   and self.costs == EditCosts())
+        #: induced candidate (structural prices are positive, and
+        #: untagged request nodes substitute free).
+        self._rectangles_decide = bool(memos._cols) and self._untagged_free
         # Free topologies of the last two allocated sets (see
         # free_topology): the current occupancy plus one ad-hoc set, as
         # resize and in-place migration pass.
@@ -447,7 +429,14 @@ class TopologyMapper:
         }
 
     def _mesh_placements(self, request: Topology, free_nodes: set[int]):
-        """Yield exact vmaps by sliding the request mesh over free cells."""
+        """Yield exact vmaps by sliding the request mesh over free cells.
+
+        A slid placement is priced 0 without looking at tags, which is
+        right only for an untagged request whose nodes substitute free;
+        any other request yields nothing and takes the certificate path.
+        """
+        if not self._untagged_free or any(request.node_attrs.values()):
+            return
         grid = self._request_grid(request)
         if grid is None or not self.chip.coords:
             return
@@ -581,9 +570,10 @@ class TopologyMapper:
         counts as no) by sliding the mesh over the free cells, without
         enumerating candidates. It decides only when ``rows`` and
         ``cols`` are both at least 2 on a chip that is exactly
-        ``Topology.mesh2d`` under the default edit costs, and returns
-        ``None`` otherwise. There, distance 0 needs a free induced
-        subgraph isomorphic to the request, and an induced r x c grid
+        ``Topology.mesh2d`` under edit costs where untagged request nodes
+        substitute free, and returns ``None`` otherwise. There, distance
+        0 needs a free induced subgraph isomorphic to the request (every
+        structural price is positive), and an induced r x c grid
         with r, c >= 2 in a grid graph is an axis-aligned rectangle:
         its 4-cycles are unit squares, glued edge to edge. A 1 x k line
         has no 4-cycle and can be exact as an L or a snake, so lines
@@ -720,8 +710,7 @@ class TopologyMapper:
             memos.lookup(
                 memos.bounds, (request_key, candidate.shape),
                 lambda candidate=candidate: bijection_lower_bound(
-                    request, self._topology(candidate), self.costs,
-                    vectorize=True))
+                    request, self._topology(candidate), self.costs))
             for candidate in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (bounds[i], i))
@@ -742,7 +731,7 @@ class TopologyMapper:
         """Hungarian ``(distance, mapping)`` with numpy-built matrices
         (bit-identical to the scalar loop, so the assignment cannot
         drift)."""
-        return best_bijection(request, candidate, self.costs, vectorize=True)
+        return best_bijection(request, candidate, self.costs)
 
     def _polish_seeds(self, request: Topology, candidate: Topology,
                       hungarian_seed: dict[int, int]) -> list[dict[int, int]]:
@@ -775,8 +764,6 @@ class TopologyMapper:
         (nothing can beat an exact, stretch-free mapping).
         """
         hop = self._candidate_hops(candidate)
-        refine = (self._refine_delta if self._delta_exact
-                  else self._stretch_aware_refine)
         best: tuple[float, dict[int, int]] | None = None
         seen: set[tuple] = set()
         for seed in self._polish_seeds(request, candidate, hungarian_seed):
@@ -784,7 +771,7 @@ class TopologyMapper:
             if key in seen:
                 continue
             seen.add(key)
-            outcome = refine(request, candidate, seed, hop)
+            outcome = self._refine_delta(request, candidate, seed, hop)
             if best is None or outcome[0] < best[0]:
                 best = outcome
             if best[0] <= 1e-12:
@@ -873,31 +860,6 @@ class TopologyMapper:
         )
         return cost + self.STRETCH_WEIGHT * stretch
 
-    def _stretch_aware_refine(self, request: Topology, candidate: Topology,
-                              seed: dict[int, int],
-                              hop: dict[int, dict[int, int]],
-                              max_passes: int = 6
-                              ) -> tuple[float, dict[int, int]]:
-        """2-opt hill climbing on edit-cost + stretch."""
-        mapping = dict(seed)
-        nodes = request.nodes
-        current = self._stretch_objective(request, candidate, mapping, hop)
-        for _ in range(max_passes):
-            improved = False
-            for i, a in enumerate(nodes):
-                for b in nodes[i + 1:]:
-                    mapping[a], mapping[b] = mapping[b], mapping[a]
-                    trial = self._stretch_objective(
-                        request, candidate, mapping, hop)
-                    if trial + 1e-12 < current:
-                        current = trial
-                        improved = True
-                    else:
-                        mapping[a], mapping[b] = mapping[b], mapping[a]
-            if not improved:
-                break
-        return current, mapping
-
     def _refine_delta(self, request: Topology, candidate: Topology,
                       seed: dict[int, int],
                       hop: dict[int, dict[int, int]],
@@ -907,14 +869,13 @@ class TopologyMapper:
         Each trial swap re-prices only what it can change — the two node
         substitutions, the edges incident to the swapped request nodes
         (and their images), and the stretch of those same edges — instead
-        of recomputing the full objective. Edit costs and stretch weights
-        are dyadic rationals under the default :class:`EditCosts`, so the
-        incremental objective tracks the full recomputation bit-for-bit
-        and the accept/reject sequence (hence the refined mapping) is
-        identical to :meth:`_stretch_aware_refine`.
+        of recomputing the full objective. Every edit price is a multiple
+        of 1/16 and the stretch weight is 1/2, so the incremental
+        objective tracks the full recomputation bit-for-bit and the
+        accept/reject sequence (hence the refined mapping) is identical
+        to the full-recompute refine the tests keep as the oracle.
         """
         costs = self.costs
-        substitute = costs.node_substitute
         edge_insert = costs.edge_insert
         weight = self.STRETCH_WEIGHT
         mapping = dict(seed)
@@ -922,15 +883,17 @@ class TopologyMapper:
         nodes = request.nodes
         fallback = request.node_count
         # Flatten everything a swap trial touches into dict lookups:
-        # adjacency sets, node attributes, and per-edge deletion prices
-        # (constant during refinement) in both orientations.
+        # adjacency sets, node attributes and mismatch prices, and
+        # per-edge deletion prices (constant during refinement) in both
+        # orientations.
         req_adj = {n: request._adj[n] for n in nodes}
         cand_adj = {p: candidate._adj[p] for p in candidate.nodes}
         req_attr = {n: request.attr(n) for n in nodes}
+        req_price = {n: costs.tag_price(req_attr[n]) for n in nodes}
         cand_attr = {p: candidate.attr(p) for p in candidate.nodes}
         del_cost: dict[tuple[int, int], float] = {}
         for u, v in request.edges:
-            price = costs.edge_del(request, u, v)
+            price = costs.edge_price(u, v)
             del_cost[(u, v)] = price
             del_cost[(v, u)] = price
         current = self._stretch_objective(request, candidate, mapping, hop)
@@ -942,8 +905,10 @@ class TopologyMapper:
             # (insertions). Each shared edge is counted once, matching
             # the full objective's edge iteration.
             image_a, image_b = mapping[a], mapping[b]
-            total = (substitute(req_attr[a], cand_attr[image_a])
-                     + substitute(req_attr[b], cand_attr[image_b]))
+            total = ((0.0 if req_attr[a] == cand_attr[image_a]
+                      else req_price[a])
+                     + (0.0 if req_attr[b] == cand_attr[image_b]
+                        else req_price[b]))
             stretch = 0
             hop_a = hop[image_a]
             for v in req_adj[a]:

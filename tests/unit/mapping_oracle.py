@@ -10,6 +10,13 @@ certificate per candidate, the serial scalar Hungarian loop, and the
 full-recompute 2-opt over every polish seed with per-candidate
 Python-BFS hop tables.
 
+The scalar loops behind that Hungarian loop live here too:
+:func:`scalar_best_bijection`, :func:`scalar_bipartite_ged` and
+:func:`scalar_bijection_lower_bound` price one node pair at a time, and
+are the oracle the numpy-built matrices and closed-form bound of
+:mod:`repro.core.ged` must equal bit for bit, for every
+:class:`~repro.core.ged.EditCosts`.
+
 The harness pins a **corpus** — the exact sequence of mapper
 invocations a fragmentation-heavy fleet trace produces — and replays it
 against both mappers:
@@ -44,8 +51,11 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
 from repro.arch.topology import Topology
-from repro.core.ged import best_bijection, induced_edit_cost
+from repro.core.ged import EPS, EditCosts, induced_edit_cost
 from repro.core.topology_mapping import (
     TopologyMapper,
     _Candidate,
@@ -53,6 +63,90 @@ from repro.core.topology_mapping import (
 )
 from repro.errors import AllocationError
 from repro.serving.workload import generate_fleet_trace
+
+
+def scalar_pair_costs(t1: Topology, t2: Topology,
+                      costs: EditCosts) -> np.ndarray:
+    """Substitution-plus-local-edge costs, one node pair at a time."""
+    matrix = np.zeros((t1.node_count, t2.node_count))
+    for i, u in enumerate(t1.nodes):
+        deg1 = t1.degree(u)
+        adjacent_del = sum(costs.edge_price(u, nbr)
+                           for nbr in t1.neighbors(u))
+        for j, v in enumerate(t2.nodes):
+            deg2 = t2.degree(v)
+            local = 0.0
+            if deg1 > deg2:
+                # Some of u's edges will have no counterpart.
+                local += 0.5 * (deg1 - deg2) * (adjacent_del / max(deg1, 1))
+            elif deg2 > deg1:
+                local += 0.5 * (deg2 - deg1) * costs.edge_insert
+            matrix[i, j] = costs.substitute(t1.attr(u), t2.attr(v)) + local
+    return matrix
+
+
+def scalar_best_bijection(t1: Topology, t2: Topology,
+                          costs: EditCosts | None = None
+                          ) -> tuple[float, dict[int, int]]:
+    """``best_bijection`` over the scalar-loop reward matrix."""
+    costs = costs or EditCosts()
+    nodes1, nodes2 = t1.nodes, t2.nodes
+    rows, cols = linear_sum_assignment(scalar_pair_costs(t1, t2, costs))
+    mapping = {nodes1[row]: nodes2[col] for row, col in zip(rows, cols)}
+    return induced_edit_cost(t1, t2, mapping, costs), mapping
+
+
+def scalar_bipartite_ged(t1: Topology, t2: Topology,
+                         costs: EditCosts | None = None) -> float:
+    """``bipartite_ged`` over the scalar-loop reward matrix."""
+    costs = costs or EditCosts()
+    nodes1, nodes2 = t1.nodes, t2.nodes
+    n1, n2 = len(nodes1), len(nodes2)
+    size = n1 + n2
+    big = 1e18
+    matrix = np.full((size, size), 0.0)
+    matrix[:n1, :n2] = scalar_pair_costs(t1, t2, costs)
+    for i, u in enumerate(nodes1):
+        adjacent_del = sum(costs.edge_price(u, nbr)
+                           for nbr in t1.neighbors(u))
+        matrix[i, n2:] = big
+        matrix[i, n2 + i] = costs.node_delete + 0.5 * adjacent_del
+    for j, v in enumerate(nodes2):
+        matrix[n1:, j] = big
+        matrix[n1 + j, j] = (costs.node_insert
+                             + 0.5 * t2.degree(v) * costs.edge_insert)
+    matrix[n1:, n2:] = 0.0
+    rows, cols = linear_sum_assignment(matrix)
+    mapping: dict[int, int | None] = {}
+    for row, col in zip(rows, cols):
+        if row < n1:
+            mapping[nodes1[row]] = nodes2[col] if col < n2 else EPS
+    return induced_edit_cost(t1, t2, mapping, costs)
+
+
+def scalar_bijection_lower_bound(t1: Topology, t2: Topology,
+                                 costs: EditCosts | None = None) -> float:
+    """``bijection_lower_bound`` with a Hungarian node term (the general
+    assignment its closed form must equal) and Python-sorted degrees."""
+    costs = costs or EditCosts()
+    if t1.node_count == 0:
+        return 0.0
+    substitutions = np.array([
+        [costs.substitute(t1.attr(u), t2.attr(v)) for v in t2.nodes]
+        for u in t1.nodes
+    ])
+    rows, cols = linear_sum_assignment(substitutions)
+    node_term = float(substitutions[rows, cols].sum())
+    s1 = sorted(t1.degree(node) for node in t1.nodes)
+    s2 = sorted(t2.degree(node) for node in t2.nodes)
+    matchable = sum(min(a, b) for a, b in zip(s1, s2)) // 2
+    deletions = max(0, t1.edge_count - matchable)
+    insertions = max(0, t2.edge_count - matchable)
+    edge_term = insertions * costs.edge_insert
+    if deletions:
+        edge_term += deletions * min(costs.edge_price(u, v)
+                                     for u, v in t1.edges)
+    return node_term + edge_term
 
 
 def all_pairs_hops(topology: Topology) -> dict[int, dict[int, int]]:
@@ -114,8 +208,7 @@ class ReferenceMapper(TopologyMapper):
                    topology.wl_certificate())
 
     def _bijection(self, request, candidate):
-        return best_bijection(request, candidate, self.costs,
-                              vectorize=False)
+        return scalar_best_bijection(request, candidate, self.costs)
 
     def _best_placement(self, request, candidates):
         best: tuple[float, Topology, dict[int, int]] | None = None
@@ -137,6 +230,29 @@ class ReferenceMapper(TopologyMapper):
         distance = induced_edit_cost(request, candidate, dict(best_mapping),
                                      self.costs)
         return distance, best_mapping
+
+    def _stretch_aware_refine(self, request, candidate, seed, hop,
+                              max_passes: int = 6):
+        """2-opt hill climbing on edit-cost + stretch, re-pricing the
+        full objective for every trial swap."""
+        mapping = dict(seed)
+        nodes = request.nodes
+        current = self._stretch_objective(request, candidate, mapping, hop)
+        for _ in range(max_passes):
+            improved = False
+            for i, a in enumerate(nodes):
+                for b in nodes[i + 1:]:
+                    mapping[a], mapping[b] = mapping[b], mapping[a]
+                    trial = self._stretch_objective(
+                        request, candidate, mapping, hop)
+                    if trial + 1e-12 < current:
+                        current = trial
+                        improved = True
+                    else:
+                        mapping[a], mapping[b] = mapping[b], mapping[a]
+            if not improved:
+                break
+        return current, mapping
 
 
 # -- corpus record/replay harness ------------------------------------------

@@ -1,5 +1,6 @@
 """Unit and property tests for graph edit distance."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,15 +8,23 @@ from hypothesis import strategies as st
 from repro.arch.topology import Topology
 from repro.core.ged import (
     EditCosts,
+    _pair_cost_block,
     best_bijection,
     bijection_lower_bound,
     bipartite_ged,
     exact_ged,
     ged,
     induced_edit_cost,
-    refine_bijection,
 )
 from repro.errors import TopologyError
+
+from cost_strategies import edit_costs
+from mapping_oracle import (
+    scalar_best_bijection,
+    scalar_pair_costs,
+    scalar_bijection_lower_bound,
+    scalar_bipartite_ged,
+)
 
 
 def small_topology(seed: int, n: int) -> Topology:
@@ -155,42 +164,68 @@ class TestBijection:
         assert cost == 0.0
         assert induced_edit_cost(mesh, mesh, dict(mapping)) == 0.0
 
-    def test_refinement_never_worsens(self):
-        for seed in range(5):
-            a = small_topology(seed, 7)
-            b = small_topology(seed + 50, 7)
-            cost, mapping = best_bijection(a, b)
-            refined_cost, refined = refine_bijection(a, b, mapping)
-            assert refined_cost <= cost + 1e-9
-            assert induced_edit_cost(a, b, dict(refined)) == refined_cost
-
 
 class TestCustomCosts:
     def test_critical_edge_penalty(self):
         """Algorithm 1's EdgeMatch: losing a critical edge costs more."""
         line = Topology.line(3)
         broken = Topology([0, 1, 2], [(1, 2)])  # edge (0,1) missing
-
-        def critical(topology, u, v):
-            return 10.0 if (u, v) == (0, 1) else 1.0
-
-        costs = EditCosts(edge_delete=critical)
+        costs = EditCosts(edge_delete_at={(1, 0): 10.0})
         mapping = {0: 0, 1: 1, 2: 2}
         assert induced_edit_cost(line, broken, mapping, costs) == 10.0
+        assert costs.edge_price(0, 1) == 10.0
+        assert costs.edge_price(1, 2) == 1.0
 
     def test_heterogeneous_node_penalty(self):
-        """Algorithm 1's NodeMatch: mem-adjacent nodes priced by distance."""
+        """Algorithm 1's NodeMatch: a mem node off a mem core costs 3."""
         req = Topology([0, 1], [(0, 1)], node_attrs={0: "mem"})
         far = Topology([0, 1], [(0, 1)], node_attrs={1: "mem"})
-
-        def node_cost(a, b):
-            return 0.0 if a == b else 3.0
-
-        costs = EditCosts(node_substitute=node_cost)
+        costs = EditCosts(tag_mismatch={"mem": 3.0})
+        assert induced_edit_cost(req, far, {0: 0, 1: 1}, costs) == 3.0
         # The optimal bijection aligns mem with mem (cost 0).
         cost, mapping = best_bijection(req, far, costs)
         assert cost == 0.0
         assert mapping[0] == 1
+
+    def test_untagged_price_from_the_table(self):
+        plain = Topology([0], [])
+        tagged = Topology([0], [], node_attrs={0: "mem"})
+        costs = EditCosts(tag_mismatch={"": 0.5})
+        assert induced_edit_cost(plain, tagged, {0: 0}, costs) == 0.5
+        assert induced_edit_cost(plain, plain, {0: 0}, costs) == 0.0
+
+
+class TestEditCostsValidation:
+    def test_tables_are_stored_sorted_and_hashable(self):
+        one = EditCosts(tag_mismatch={"sa": 2, "mem": 0.5},
+                        edge_delete_at={(3, 1): 4.0})
+        two = EditCosts(tag_mismatch={"mem": 0.5, "sa": 2.0},
+                        edge_delete_at={(1, 3): 4})
+        assert one == two and hash(one) == hash(two)
+        assert one.tag_mismatch == (("mem", 0.5), ("sa", 2.0))
+        assert one.edge_delete_at == (((1, 3), 4.0),)
+        assert one != EditCosts()
+        assert EditCosts(tag_mismatch={"mem": 0}).tag_price("mem") == 0.0
+
+    @pytest.mark.parametrize("value", [0.1, float("nan"), float("inf"),
+                                       -1.0, 0.0, 2.0 ** 33, "1"])
+    def test_bad_structural_price_rejected(self, value):
+        for field in ("node_delete", "node_insert", "edge_delete",
+                      "edge_insert"):
+            with pytest.raises(TopologyError):
+                EditCosts(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.1, float("nan"), float("inf"),
+                                       -0.5, 0.0])
+    def test_bad_edge_table_price_rejected(self, value):
+        with pytest.raises(TopologyError):
+            EditCosts(edge_delete_at={(0, 1): value})
+
+    @pytest.mark.parametrize("value", [0.1, float("nan"), float("-inf"),
+                                       -0.0625])
+    def test_bad_tag_price_rejected(self, value):
+        with pytest.raises(TopologyError):
+            EditCosts(tag_mismatch={"mem": value})
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,61 +263,63 @@ def tagged_topology(seed: int, n: int) -> Topology:
 
 
 class TestVectorizedIdentity:
-    """The numpy reward-matrix block must be *bit-identical* to the
-    scalar reference loop — ``vectorize=False`` is the property-tested
-    oracle the fast path is judged against."""
+    """The numpy reward-matrix block and the closed-form bound must be
+    *bit-identical* to the scalar loops in ``mapping_oracle``, the
+    property-tested oracle the one production path is judged against,
+    for default and random prices alike."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed1=st.integers(0, 1000), seed2=st.integers(0, 1000),
-           n=st.integers(1, 9))
-    def test_best_bijection_matches_scalar_oracle(self, seed1, seed2, n):
+           n=st.integers(1, 9), costs=st.none() | edit_costs())
+    def test_best_bijection_matches_scalar_oracle(self, seed1, seed2, n,
+                                                  costs):
         a = tagged_topology(seed1, n)
         b = tagged_topology(seed2, n)
-        fast_cost, fast_map = best_bijection(a, b, vectorize=True)
-        slow_cost, slow_map = best_bijection(a, b, vectorize=False)
+        prices = costs or EditCosts()
+        assert np.array_equal(_pair_cost_block(a, b, prices),
+                              scalar_pair_costs(a, b, prices))
+        fast_cost, fast_map = best_bijection(a, b, costs)
+        slow_cost, slow_map = scalar_best_bijection(a, b, costs)
         assert fast_cost == slow_cost  # exact float equality, no epsilon
         assert fast_map == slow_map
 
     @settings(max_examples=60, deadline=None)
     @given(seed1=st.integers(0, 1000), seed2=st.integers(0, 1000),
-           n1=st.integers(1, 8), n2=st.integers(1, 8))
-    def test_bipartite_ged_matches_scalar_oracle(self, seed1, seed2, n1, n2):
+           n1=st.integers(1, 8), n2=st.integers(1, 8),
+           costs=st.none() | edit_costs())
+    def test_bipartite_ged_matches_scalar_oracle(self, seed1, seed2, n1, n2,
+                                                 costs):
         a = tagged_topology(seed1, n1)
         b = tagged_topology(seed2, n2)
-        assert (bipartite_ged(a, b, vectorize=True)
-                == bipartite_ged(a, b, vectorize=False))
+        assert bipartite_ged(a, b, costs) == scalar_bipartite_ged(a, b, costs)
 
     @settings(max_examples=60, deadline=None)
     @given(seed1=st.integers(0, 1000), seed2=st.integers(0, 1000),
-           n=st.integers(1, 9))
-    def test_lower_bound_matches_scalar_oracle(self, seed1, seed2, n):
+           n=st.integers(1, 9), costs=st.none() | edit_costs())
+    def test_lower_bound_matches_scalar_oracle(self, seed1, seed2, n, costs):
         a = tagged_topology(seed1, n)
         b = tagged_topology(seed2, n)
-        fast = bijection_lower_bound(a, b, vectorize=True)
-        slow = bijection_lower_bound(a, b, vectorize=False)
-        assert fast == slow
-        # Admissibility must survive vectorization.
-        exact_cost, _ = best_bijection(a, b)
-        assert fast <= exact_cost + 1e-9
+        fast = bijection_lower_bound(a, b, costs)
+        assert fast == scalar_bijection_lower_bound(a, b, costs)
+        # Admissibility must survive the closed form.
+        exact_cost, _ = best_bijection(a, b, costs)
+        assert fast <= exact_cost
 
-    def test_custom_costs_fall_back_to_scalar_loop(self):
-        # A custom callable cannot be broadcast; vectorize=True must
-        # silently take the reference loop, not crash or drift.
+    def test_table_costs_take_the_vectorized_path(self):
+        # Prices from the tables are broadcast like the flat ones and
+        # still equal the loop one pair at a time.
         a = small_topology(3, 6)
         b = small_topology(11, 6)
-
-        def pricey(topology, u, v):
-            return 2.5
-
-        costs = EditCosts(edge_delete=pricey)
-        assert (best_bijection(a, b, costs, vectorize=True)
-                == best_bijection(a, b, costs, vectorize=False))
-        assert (bipartite_ged(a, b, costs, vectorize=True)
-                == bipartite_ged(a, b, costs, vectorize=False))
-        assert (bijection_lower_bound(a, b, costs, vectorize=True)
-                == bijection_lower_bound(a, b, costs, vectorize=False))
+        costs = EditCosts(edge_delete=2.5, edge_delete_at={(0, 1): 7.0},
+                          tag_mismatch={"": 0.25})
+        assert best_bijection(a, b, costs) == scalar_best_bijection(a, b,
+                                                                    costs)
+        assert bipartite_ged(a, b, costs) == scalar_bipartite_ged(a, b, costs)
+        assert (bijection_lower_bound(a, b, costs)
+                == scalar_bijection_lower_bound(a, b, costs))
 
     def test_empty_topology(self):
         empty = Topology([], [])
-        assert bipartite_ged(empty, empty, vectorize=True) == 0.0
-        assert bijection_lower_bound(empty, empty, vectorize=True) == 0.0
+        assert bipartite_ged(empty, empty) == 0.0
+        assert bijection_lower_bound(empty, empty) == 0.0
+        assert best_bijection(empty, empty) == (0.0, {})

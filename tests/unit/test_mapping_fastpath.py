@@ -11,12 +11,18 @@ from hypothesis import strategies as st
 from repro.arch.chip import Chip
 from repro.arch.config import MB, sim_config
 from repro.arch.topology import MeshShape, Topology
-from repro.core.ged import EditCosts, best_bijection, bijection_lower_bound
+from repro.core.ged import (
+    EditCosts,
+    best_bijection,
+    bijection_lower_bound,
+    induced_edit_cost,
+)
 from repro.core.hypervisor import Hypervisor
 from repro.core.topology_mapping import TopologyMapper
 from repro.core.vnpu import VNpuSpec
 from repro.errors import AllocationError, TopologyError
 
+from cost_strategies import edit_costs
 from mapping_oracle import ReferenceMapper, all_pairs_hops
 
 
@@ -120,19 +126,18 @@ class TestFastPathEquivalence:
                     assert fast_result.distance == ref_result.distance
                     assert fast_result.vmap == ref_result.vmap
 
-    def test_identical_results_with_non_dyadic_costs(self):
-        """Exotic float costs (0.1 sums non-associatively) must not flip
-        2-opt accept decisions: the fast path falls back to the
-        full-recompute refine and stays equivalent."""
+    def test_identical_results_with_table_costs(self):
+        """Fractional table prices must not flip 2-opt accept decisions:
+        the delta refine stays equivalent to the full recompute."""
         costs = EditCosts(
-            node_substitute=lambda a, b: 0.0 if a == b else 0.3,
-            edge_delete=lambda t, u, v: 0.1,
-            edge_insert=0.1,
+            tag_mismatch={"": 0.3125, "mem": 0.3125},
+            edge_delete=0.125,
+            edge_delete_at={(0, 1): 0.0625, (1, 2): 2.5},
+            edge_insert=0.0625,
         )
         chip = Topology.mesh2d(6, 6)
         fast = TopologyMapper(chip, costs=costs)
         reference = ReferenceMapper(chip, costs=costs)
-        assert not fast._delta_exact
         allocated = {0, 4, 8, 15, 19, 23, 26, 30, 34}
         for shape in ((2, 3), (3, 3), (2, 2)):
             request = Topology.mesh2d(*shape)
@@ -141,14 +146,49 @@ class TestFastPathEquivalence:
             assert fast_result.distance == ref_result.distance
             assert fast_result.vmap == ref_result.vmap
 
-    def test_dyadic_scalar_costs_keep_delta_refine(self):
-        chip = Topology.mesh2d(3, 3)
-        assert TopologyMapper(chip)._delta_exact
-        halves = EditCosts(node_delete=1.5, node_insert=2.0,
-                           edge_insert=0.5)
-        assert TopologyMapper(chip, costs=halves)._delta_exact
-        assert not TopologyMapper(
-            chip, costs=EditCosts(edge_insert=0.1))._delta_exact
+    @pytest.mark.parametrize("costs", [
+        EditCosts(),
+        EditCosts(node_delete=1.5, node_insert=2.0, edge_insert=0.5),
+        EditCosts(tag_mismatch={"mem": 0.1875, "": 0.0625},
+                  edge_delete_at={(0, 3): 6.0, (2, 5): 0.0625}),
+    ])
+    def test_delta_refine_matches_full_recompute_refine(self, costs):
+        """Same accept sequence, objective and evaluation count as the
+        oracle's full-recompute refine, from every polish seed."""
+        chip = tagged_mesh(4, 4)
+        request = Topology.mesh2d(2, 3)
+        request.node_attrs.update({0: "mem", 4: "mem"})
+        candidate = chip.subtopology([0, 1, 4, 5, 8, 9])
+        fast = TopologyMapper(chip, costs=costs)
+        reference = ReferenceMapper(chip, costs=costs)
+        hop = all_pairs_hops(candidate)
+        _, seed = best_bijection(request, candidate, costs)
+        for start in fast._polish_seeds(request, candidate, seed):
+            assert (fast._refine_delta(request, candidate, start, hop)
+                    == reference._stretch_aware_refine(request, candidate,
+                                                       start, hop))
+        assert fast.objective_evaluations == reference.objective_evaluations
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), occupied=st.integers(0, 14),
+           shape=st.sampled_from(REQUEST_SHAPES), tag=st.booleans(),
+           costs=edit_costs())
+    def test_identical_results_under_random_costs(self, seed, occupied,
+                                                  shape, tag, costs):
+        rng = random.Random(seed)
+        chip = tagged_mesh(5, 5)
+        fast = TopologyMapper(chip, costs=costs)
+        reference = ReferenceMapper(chip, costs=costs)
+        allocated = set(rng.sample(chip.nodes, occupied))
+        request = tagged_request(*shape) if tag else Topology.mesh2d(*shape)
+        if request.node_count > chip.node_count - occupied:
+            return
+        fast_result = call(fast, request, allocated)
+        ref_result = call(reference, request, allocated)
+        assert (fast_result is None) == (ref_result is None)
+        if fast_result is not None:
+            assert fast_result.distance == ref_result.distance
+            assert fast_result.vmap == ref_result.vmap
 
     def test_equivalence_under_churn(self):
         """Interleaved alloc/free churn (the fast side's memos warm
@@ -232,9 +272,9 @@ class TestLowerBound:
         tagged = Topology([0, 1], [(0, 1)], node_attrs={0: "mem", 1: "mem"})
         plain = Topology([5, 6], [(5, 6)])
         assert bijection_lower_bound(tagged, plain) == 2.0
-        # And the custom-substitute fallback agrees via Hungarian.
-        costs = EditCosts(node_substitute=lambda a, b: 0.0 if a == b else 1.0)
-        assert bijection_lower_bound(tagged, plain, costs) == 2.0
+        # Each excess node is priced at its tag's table price.
+        costs = EditCosts(tag_mismatch={"mem": 2.5})
+        assert bijection_lower_bound(tagged, plain, costs) == 5.0
 
 
 class TestFreeTopologyMemo:
@@ -529,11 +569,11 @@ class TestTranslateIdentity:
                 assert_matches_reference(fast, request,
                                          window(chip, cells, offset))
 
-    def test_non_dyadic_costs_match_and_never_share(self):
+    def test_custom_costs_match_and_share_only_equal_costs(self):
         costs = EditCosts(
-            node_substitute=lambda a, b: 0.0 if a == b else 0.3,
-            edge_delete=lambda t, u, v: 0.1,
-            edge_insert=0.1,
+            tag_mismatch={"": 0.3125, "mem": 0.3125},
+            edge_delete=0.125,
+            edge_insert=0.125,
         )
         chip = tagged_mesh()
         fast = TopologyMapper(chip, costs=costs)
@@ -548,6 +588,10 @@ class TestTranslateIdentity:
             TopologyMapper(chip, costs=costs, memos=default.memos)
         with pytest.raises(TopologyError):
             TopologyMapper(chip, memos=fast.memos)
+        equal = EditCosts(tag_mismatch={"mem": 0.3125, "": 0.3125},
+                          edge_delete=0.125, edge_insert=0.125)
+        assert TopologyMapper(chip, costs=equal,
+                              memos=fast.memos).memos is fast.memos
 
     def test_sharing_requires_equal_chips(self):
         shared = TopologyMapper(tagged_mesh()).memos
@@ -695,8 +739,29 @@ class TestExactMeshLemma:
         for chip in (relabelled, cut, Topology.ring(8)):
             mapper = TopologyMapper(chip)
             assert mapper.holds_exact_mesh(2, 2, frozenset()) is None
-        custom = TopologyMapper(mesh, costs=EditCosts(edge_insert=0.1))
+        # Priced untagged nodes: a slid rectangle may not be exact.
+        custom = TopologyMapper(
+            mesh, costs=EditCosts(tag_mismatch={"": 0.5}))
         assert custom.holds_exact_mesh(2, 2, frozenset()) is None
+        # Other prices leave distance 0 meaning an isomorphic candidate.
+        flat = TopologyMapper(mesh, costs=EditCosts(edge_insert=0.5))
+        assert flat.holds_exact_mesh(2, 2, frozenset()) is True
+
+    def test_tagged_request_is_not_slid(self):
+        """The mesh slide prices nothing, so a tagged request must reach
+        the certificate path and land its mem node on the mem core."""
+        chip = Topology.mesh2d(4, 4)
+        chip.node_attrs[15] = "mem"
+        request = Topology.mesh2d(2, 2)
+        request.node_attrs[0] = "mem"
+        mapper = TopologyMapper(chip)
+        for result in (mapper.map_similar(request), mapper.map_exact(request)):
+            candidate = chip.subtopology(result.physical_cores)
+            assert result.distance == induced_edit_cost(
+                request, candidate, result.vmap)
+            assert result.distance == 0.0
+            assert result.vmap[0] == 15
+        assert call(ReferenceMapper(chip), request, set()).vmap[0] == 15
 
     def test_line_exact_only_as_an_l_is_undecided(self):
         chip = Topology.mesh2d(4, 4)
