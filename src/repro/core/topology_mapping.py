@@ -272,10 +272,17 @@ class TopologyMapper:
         #: mesh slid onto free cells is exact whatever their tags.
         self._untagged_free = self.costs.tag_price("") == 0.0
         # Chip-level lookups hoisted out of _mesh_placements (they are
-        # pure functions of the chip): coordinate index, grid extents and
-        # the boustrophedon walk of the full chip.
+        # pure functions of the chip): coordinate index, whether the
+        # edges are exactly the unit steps between coordinates, grid
+        # extents and the boustrophedon walk of the full chip.
         self._by_coord = {coord: node
                           for node, coord in chip_topology.coords.items()}
+        steps = {tuple(sorted((node, self._by_coord[(r + dr, c + dc)])))
+                 for node, (r, c) in chip_topology.coords.items()
+                 for dr, dc in ((0, 1), (1, 0))
+                 if (r + dr, c + dc) in self._by_coord}
+        self._chip_is_grid = (len(self._by_coord) == chip_topology.node_count
+                              and steps == set(chip_topology.edges))
         if chip_topology.coords:
             self._chip_rows = max(r for r, _ in chip_topology.coords.values()) + 1
             self._chip_cols = max(c for _, c in chip_topology.coords.values()) + 1
@@ -431,14 +438,16 @@ class TopologyMapper:
     def _mesh_placements(self, request: Topology, free_nodes: set[int]):
         """Yield exact vmaps by sliding the request mesh over free cells.
 
-        A slid placement is priced 0 without looking at tags, which is
-        right only for an untagged request whose nodes substitute free;
-        any other request yields nothing and takes the certificate path.
+        A slid placement is priced 0 without looking at tags or edges,
+        which is right only for an untagged request whose nodes
+        substitute free, on a chip whose edges are exactly its
+        coordinate grid; anything else yields nothing and takes the
+        certificate path.
         """
         if not self._untagged_free or any(request.node_attrs.values()):
             return
         grid = self._request_grid(request)
-        if grid is None or not self.chip.coords:
+        if grid is None or not self._chip_is_grid:
             return
         by_coord = self._by_coord
         chip_rows = self._chip_rows

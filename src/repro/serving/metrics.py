@@ -183,10 +183,11 @@ class SLOMetrics:
 class FleetMetrics:
     """Accumulates one scheduler run: records, counters, cluster state.
 
-    ``records`` and ``fault_log`` are the only per-event history kept:
-    every sampled instant is folded into running time-weighted
-    integrals (:meth:`sample`), so the object, pickled into every shard
-    fence checkpoint, never grows with the event count.
+    ``records`` and ``fault_log`` are the only per-event history kept,
+    and they grow with the run. Every sampled instant is folded into
+    running time-weighted integrals (:meth:`sample`), so the rest of
+    the object stays a fixed size. A shard slice moves both lists into
+    each fence report, so its fence checkpoints pickle none of them.
     """
 
     records: list[SessionRecord] = field(default_factory=list)

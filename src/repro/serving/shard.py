@@ -26,8 +26,8 @@ The fence protocol per epoch::
                 simulator to the fence (``sim.run(until=fence)``).
     report      each slice reports per-chip free cores and health, its
                 queue depth, active count, and spill proposals — the
-                claim map for the next fence — plus, at checkpoint
-                epochs, a serialized slice checkpoint.
+                claim map for the next fence — plus its new metrics
+                history and, at checkpoint epochs, a slice checkpoint.
 
 **Determinism.** Every coordinator decision is a function of the trace,
 the shard decomposition and the per-shard reports — never of worker
@@ -46,12 +46,10 @@ expected to survive them. Three mechanisms compose:
 - *Checkpoint ring* — every ``checkpoint_every`` epochs the workers
   attach a serialized :meth:`ShardSlice.checkpoint` (built on
   :meth:`FleetScheduler.snapshot`) per shard to their fence report.
-  Checkpoints are *incremental*: only the metrics history not yet
-  shipped crosses the pipe (the rest of a fence snapshot is O(live
-  state)), keeping the per-fence cost flat instead of quadratic over
-  the run; the coordinator splices each delta onto the newest
-  composed state per shard, plus the log of ``EpochPlan`` broadcasts
-  committed since that checkpoint.
+  The append-only history (session records, fault log) leaves the
+  slice in every report, so a checkpoint is O(live state). The ring
+  keeps each shard's newest checkpoint bytes with the coordinator's
+  history lengths at its fence, plus the ``EpochPlan`` log since.
 - *Watchdog* — fence reports are received through a deadline-based
   ``conn.poll()`` loop instead of an unbounded blocking ``recv``; a
   worker that neither reports nor dies within
@@ -63,7 +61,8 @@ expected to survive them. Three mechanisms compose:
   the last fence checkpoint and driven through a replay of the
   already-committed epoch plans; the slice simulation is
   deterministic, so the replayed final report is byte-identical to
-  the one the dead worker would have sent. After ``respawn_budget``
+  the one the dead worker would have sent (the shard's history is
+  cut back to the checkpoint first). After ``respawn_budget``
   consecutive failed respawns the coordinator *degrades gracefully*
   instead of dying: the orphaned shards are folded into the
   in-process oracle path (restored + replayed inside the
@@ -257,10 +256,10 @@ class EpochPlan:
 
 
 #: The append-only :class:`~repro.serving.metrics.FleetMetrics` lists —
-#: the only checkpoint state that grows over a run, and therefore the
-#: only part delta checkpoints ship incrementally. Everything else in a
-#: fence snapshot (chip residents, queues, actives, counters and folded
-#: time-weighted integrals, the cost cache) is O(live state).
+#: the only slice state that grows over a run. Fence reports move them
+#: to the coordinator, so everything a checkpoint pickles (chip
+#: residents, queues, actives, counters and folded time-weighted
+#: integrals, the cost cache) is O(live state).
 _METRIC_LOGS = ("records", "fault_log")
 
 
@@ -270,8 +269,8 @@ class ShardSlice:
     A thin stateful wrapper around a per-shard
     :class:`~repro.serving.fleet.FleetScheduler`: each epoch the slice
     hands the coordinator's committed admissions to ``submit``, runs
-    its engine to the fence and reports its claim state.
-    ``spill_after_cycles=None`` disables spill proposals.
+    its engine to the fence and reports its claim state and new
+    metrics history. ``spill_after_cycles=None`` disables spill proposals.
     """
 
     def __init__(self, shard_id: int, configs: list[SoCConfig],
@@ -283,9 +282,6 @@ class ShardSlice:
         #: session id -> cycle it arrives in this slice's queue (spill
         #: aging).
         self._dealt_cycle: dict[int, int] = {}
-        #: Per-list lengths of the metrics logs already shipped in a
-        #: checkpoint (``None`` until the first one): the delta base.
-        self._shipped: tuple[int, ...] | None = None
         self.fleet.submit(())  # starts the fault timeline
 
     # -- checkpointing -----------------------------------------------------
@@ -295,48 +291,20 @@ class ShardSlice:
         Valid at a fence (the simulator parked at the fence cycle, no
         event mid-dispatch): the fleet's warm-restart snapshot plus the
         slice's own spill-aging table. The bytes are what crosses the
-        worker pipe — :meth:`from_checkpoint` turns a *full* blob back
-        into a live slice in any process.
-
-        ``delta=True`` (what workers send at fences) strips the
-        metrics history already shipped in this slice's previous
-        checkpoint: the only checkpoint state that grows over a run is
-        the append-only :class:`~repro.serving.metrics.FleetMetrics`
-        records and fault log (:data:`_METRIC_LOGS`), so a full blob
-        every fence costs O(history) — quadratic over the run — while
-        the delta stays O(one epoch's departures). The blob's ``base``
-        entry records the already-shipped list lengths; the coordinator
-        splices the tail onto its stored ring state
-        (:meth:`ShardedFleetScheduler._stash`).
-        The first checkpoint (nothing shipped yet) is always full.
+        worker pipe — :meth:`from_checkpoint` turns them back into a
+        live slice in any process. Taken after :meth:`run_epoch`, whose
+        report moved the metrics history out, the blob is O(live state)
+        however long the run. ``delta`` is accepted and ignored.
         """
-        fleet_state = self.fleet.snapshot(detach=False)
-        metrics = fleet_state["metrics"]
-        logs = tuple(getattr(metrics, name) for name in _METRIC_LOGS)
-        base = self._shipped if (delta and self._shipped is not None) \
-            else None
-        self._shipped = tuple(len(log) for log in logs)
-        payload = {
+        return pickle.dumps({
             "shard_id": self.shard_id,
             "spill_after_cycles": self.spill_after_cycles,
             "dealt_cycle": dict(self._dealt_cycle),
-            # ``detach=False``: the ``dumps`` below *is* the detach — a
-            # second round-trip inside ``snapshot`` would triple-pickle
-            # every fence.
-            "fleet": fleet_state,
-            "base": base,
-        }
-        if base is None:
-            return pickle.dumps(payload)
-        # Swap the unshipped tails in for the duration of the dump; the
-        # live metrics object must come back intact either way.
-        try:
-            for name, log, skip in zip(_METRIC_LOGS, logs, base):
-                setattr(metrics, name, log[skip:])
-            return pickle.dumps(payload)
-        finally:
-            for name, log in zip(_METRIC_LOGS, logs):
-                setattr(metrics, name, log)
+            # ``detach=False``: the ``dumps`` *is* the detach — a second
+            # round-trip inside ``snapshot`` would triple-pickle every
+            # fence.
+            "fleet": self.fleet.snapshot(detach=False),
+        })
 
     @classmethod
     def from_checkpoint(cls, blob: bytes, *, shard_id: int,
@@ -352,22 +320,12 @@ class ShardSlice:
         authoritative copies, including the fault-timeline tail.
         """
         state = pickle.loads(blob)
-        if state.get("base") is not None:
-            raise ServingError(
-                "cannot restore from a delta checkpoint; the "
-                "coordinator composes deltas onto the ring state first")
         slice_ = cls.__new__(cls)
         slice_.shard_id = shard_id
         slice_.spill_after_cycles = spill_after_cycles
         slice_._dealt_cycle = dict(state["dealt_cycle"])
         slice_.fleet = FleetScheduler.restore(state["fleet"],
                                               **fleet_kwargs)
-        # The coordinator's ring holds everything up to this
-        # checkpoint, so the restored slice's next delta is relative
-        # to the state it was just rebuilt from.
-        slice_._shipped = tuple(
-            len(getattr(slice_.fleet.metrics, name))
-            for name in _METRIC_LOGS)
         return slice_
 
     def run_epoch(self, fence: int, plan: EpochPlan | None) -> dict:
@@ -385,7 +343,16 @@ class ShardSlice:
         return self._report(fence)
 
     def _report(self, fence: int) -> dict:
+        """Claim state at ``fence``; ``"logs"`` moves the metrics
+        history out of the slice (one list per :data:`_METRIC_LOGS`).
+        Departed sessions never wait again: their spill ages go too."""
         fleet = self.fleet
+        metrics = fleet.metrics
+        for record in metrics.records:
+            self._dealt_cycle.pop(record.session_id, None)
+        logs = tuple(getattr(metrics, name) for name in _METRIC_LOGS)
+        for name in _METRIC_LOGS:
+            setattr(metrics, name, [])
         pending = fleet.pending_sessions
         spills: list[AdmitOrder] = []
         if self.spill_after_cycles is not None:
@@ -400,24 +367,33 @@ class ShardSlice:
             "pending": len(pending),
             "active": fleet.active_count,
             "spills": tuple(spills),
+            "logs": logs,
         }
 
     def collect(self) -> dict:
-        """Final per-shard results (picklable) for aggregation."""
+        """Final per-shard results (picklable) for aggregation; the
+        metrics history already left in the fence reports."""
         return {"metrics": self.fleet.metrics,
                 "mapper": self.fleet.mapper_stats()}
+
+
+def _revive(blob: bytes | None, slice_kwargs: dict) -> ShardSlice:
+    """A slice restored from a checkpoint blob, or fresh without one."""
+    if blob is None:
+        return ShardSlice(**slice_kwargs)
+    return ShardSlice.from_checkpoint(blob, **slice_kwargs)
 
 
 def _worker_main(conn, shard_ids: tuple[int, ...],
                  slice_kwargs: dict,
                  crash_events: tuple[CrashEvent, ...] = (),
-                 checkpoints: dict[int, bytes] | None = None,
+                 checkpoints: dict[int, bytes | None] | None = None,
                  start_epoch: int = 0,
                  crash_on_restore: bool = False) -> None:
     """Worker process loop: owns a fixed set of slices for the run.
 
     Fresh workers build their slices from ``slice_kwargs``; recovery
-    respawns get ``checkpoints`` (one blob per shard, or absent for a
+    respawns get ``checkpoints`` (one blob per shard, or None for a
     shard that never checkpointed) and ``start_epoch`` so the replayed
     epoch indices line up with the coordinator's. ``crash_events``
     carries only the injected faults still pending for these shards —
@@ -426,17 +402,9 @@ def _worker_main(conn, shard_ids: tuple[int, ...],
     """
     if crash_on_restore:
         os._exit(13)  # injected: die before any state is rebuilt
-    if checkpoints:
-        slices = {
-            sid: (ShardSlice.from_checkpoint(checkpoints[sid],
-                                             **slice_kwargs[sid])
-                  if sid in checkpoints
-                  else ShardSlice(**slice_kwargs[sid]))
-            for sid in shard_ids
-        }
-    else:
-        slices = {sid: ShardSlice(**slice_kwargs[sid])
-                  for sid in shard_ids}
+    checkpoints = checkpoints or {}
+    slices = {sid: _revive(checkpoints.get(sid), slice_kwargs[sid])
+              for sid in shard_ids}
     epoch_index = start_epoch
     try:
         while True:
@@ -454,7 +422,7 @@ def _worker_main(conn, shard_ids: tuple[int, ...],
                 reports = {sid: slices[sid].run_epoch(fence,
                                                       plans.get(sid))
                            for sid in shard_ids}
-                blobs = ({sid: slices[sid].checkpoint(delta=True)
+                blobs = ({sid: slices[sid].checkpoint()
                           for sid in shard_ids} if want_checkpoint else {})
                 epoch_index += 1
                 conn.send(("report", reports, blobs))
@@ -663,11 +631,12 @@ class ShardedFleetScheduler:
         self._slices: dict[int, ShardSlice] = {}
         self._pool: dict[int, _WorkerHandle] = {}
         self._mp_context = None
-        #: Checkpoint ring: newest *composed* (delta-spliced, unpickled)
-        #: checkpoint state per shard, plus the epoch plans committed
-        #: since it was taken. :meth:`_compose` serializes an entry
-        #: back into the full blob recovery ships.
-        self._checkpoints: dict[int, dict] = {}
+        #: Each shard's reported metrics history (see ``_METRIC_LOGS``).
+        self._logs: list[tuple[list, ...]] = [
+            tuple([] for _ in _METRIC_LOGS) for _ in range(self.shards)]
+        #: Checkpoint ring: per shard, the newest checkpoint's bytes and
+        #: ``_logs`` lengths at its fence, plus the epoch plans since.
+        self._checkpoints: dict[int, tuple[bytes, tuple[int, ...]]] = {}
         self._plan_log: list[tuple[int, dict[int, EpochPlan], bool]] = []
         self.recovery = _RecoveryLedger()
         self._owned: list[tuple[int, ...]] = [
@@ -948,12 +917,14 @@ class ShardedFleetScheduler:
                recovery: bool = False) -> _WorkerHandle:
         """Fork one worker; recovery spawns ship checkpoints to restore.
 
-        A recovery spawn consumes a pending ``crash_on_restore`` charge
-        for any of its shards (the injected worker dies before touching
-        the pipe protocol, so the failure surfaces as an EOF on the
-        first replay receive).
+        A recovery spawn rewinds its shards (:meth:`_rewind`) and
+        consumes a pending ``crash_on_restore`` charge for any of them
+        (the injected worker dies before touching the pipe protocol, so
+        the failure surfaces as an EOF on the first replay receive).
         """
         crash_on_restore = False
+        checkpoints = None
+        start_epoch = 0
         if recovery:
             for entry in self._restore_crashes:
                 event, remaining = entry
@@ -961,10 +932,8 @@ class ShardedFleetScheduler:
                     entry[1] -= 1
                     crash_on_restore = True
                     break
-        checkpoints = ({sid: self._compose(sid) for sid in shards
-                        if sid in self._checkpoints} if recovery else None)
-        start_epoch = (self._epochs - (len(self._plan_log) - 1)
-                       if recovery else 0)
+            checkpoints = {sid: self._rewind(sid) for sid in shards}
+            start_epoch = self._epochs - (len(self._plan_log) - 1)
         events = tuple(e for e in self._pending_crashes
                        if e.shard in shards)
         parent, child = self._mp_context.Pipe()
@@ -994,8 +963,8 @@ class ShardedFleetScheduler:
         """
         reports: dict[int, dict] = {}
         for sid in sorted(self._slices):
-            reports[sid] = self._slices[sid].run_epoch(fence,
-                                                       plans.get(sid))
+            reports[sid] = self._take(
+                sid, self._slices[sid].run_epoch(fence, plans.get(sid)))
         failed: list[int] = []
         for worker, handle in sorted(self._pool.items()):
             sub = {sid: plans[sid] for sid in handle.shards
@@ -1012,7 +981,8 @@ class ShardedFleetScheduler:
             except WorkerFailure:
                 failed.append(worker)
                 continue
-            reports.update(payload)
+            for sid, report in payload.items():
+                reports[sid] = self._take(sid, report)
             self._stash(blobs)
         for worker in failed:
             reports.update(self._recover(worker, fence))
@@ -1047,45 +1017,29 @@ class ShardedFleetScheduler:
                 f"shard worker {handle.index} died at fence {fence}: "
                 f"{exc!r}") from exc
 
-    def _stash(self, blobs: dict[int, bytes]) -> None:
-        """Fold fresh checkpoints into the ring (newest wins).
+    def _take(self, sid: int, report: dict) -> dict:
+        """Append a report's metrics history to the shard's logs."""
+        for log, new in zip(self._logs[sid], report.pop("logs")):
+            log.extend(new)
+        return report
 
-        Workers ship *delta* blobs — full slice state minus the
-        metrics history already shipped (see
-        :meth:`ShardSlice.checkpoint`). The ring therefore stores the
-        unpickled, spliced-together state per shard: each delta's
-        metrics logs are appended onto the previous ring entry's and
-        the composed state replaces it. ``checkpoint_bytes`` counts
-        what actually crossed the pipe (the deltas).
-        """
+    def _stash(self, blobs: dict[int, bytes]) -> None:
+        """Store fresh checkpoints in the ring (newest wins), with the
+        history lengths at their fence (whose reports are taken)."""
         for sid, blob in blobs.items():
             self.recovery.checkpoints += 1
             self.recovery.checkpoint_bytes += len(blob)
-            state = pickle.loads(blob)
-            base = state.get("base")
-            if base is not None:
-                metrics = state["fleet"]["metrics"]
-                previous = self._checkpoints[sid]["fleet"]["metrics"]
-                for name, skip in zip(_METRIC_LOGS, base):
-                    log = getattr(previous, name)
-                    # A replayed delta re-ships a tail the ring may
-                    # already hold; truncating to the shipped base
-                    # makes the splice idempotent.
-                    del log[skip:]
-                    log.extend(getattr(metrics, name))
-                    setattr(metrics, name, log)
-                state["base"] = None
-            self._checkpoints[sid] = state
+            self._checkpoints[sid] = (
+                blob, tuple(len(log) for log in self._logs[sid]))
 
-    def _compose(self, sid: int) -> bytes:
-        """Full checkpoint bytes for one shard from the spliced ring.
-
-        The serialization doubles as the detach: consumers
-        (:meth:`ShardSlice.from_checkpoint` in a respawned worker or
-        an in-process fold) adopt the unpickled state's live objects,
-        and the ring entry must not alias them.
-        """
-        return pickle.dumps(self._checkpoints[sid])
+    def _rewind(self, sid: int) -> bytes | None:
+        """Cut a shard's history back to its newest checkpoint and
+        return the blob (None, history emptied, if it has none)."""
+        blob, lengths = self._checkpoints.get(
+            sid, (None, (0,) * len(_METRIC_LOGS)))
+        for log, length in zip(self._logs[sid], lengths):
+            del log[length:]
+        return blob
 
     def _consume_crashes(self, shards: tuple[int, ...]) -> None:
         """Retire epoch-addressed injected faults a recovery passed.
@@ -1134,10 +1088,10 @@ class ShardedFleetScheduler:
         """Drive a respawned worker through the logged epochs.
 
         Every entry re-sends the committed plans (restricted to the
-        worker's shards); intermediate reports are discarded — the
-        coordinator already absorbed their originals — and checkpoints
-        are re-stashed so the ring stays current. Returns the final
-        (in-flight) fence's reports.
+        worker's shards) and takes the report's history; intermediate
+        claim states are discarded — the coordinator already absorbed
+        their originals — and checkpoints are re-stashed so the ring
+        stays current. Returns the final (in-flight) fence's reports.
         """
         reports: dict[int, dict] = {}
         for fence, plans, want in self._plan_log:
@@ -1151,34 +1105,33 @@ class ShardedFleetScheduler:
                     f"fence {fence}: {exc!r}") from exc
             _, payload, blobs = self._receive(handle, fence)
             self.recovery.replayed_epochs += 1
-            reports = payload
+            reports = {sid: self._take(sid, report)
+                       for sid, report in payload.items()}
             self._stash(blobs)
         return reports
 
     def _fold(self, shards: tuple[int, ...]) -> dict[int, dict]:
         """Absorb orphaned shards into the in-process oracle path.
 
-        Each shard is restored from its last fence checkpoint (or
-        rebuilt from scratch when it never checkpointed) and replayed
-        through the logged epochs inside the coordinator. From here on
+        Each shard is rewound to its last fence checkpoint (or rebuilt
+        from scratch when it never checkpointed) and replayed through
+        the logged epochs inside the coordinator. From here on
         ``_exchange`` simulates these shards in-process — degraded but
         alive.
         """
         reports: dict[int, dict] = {}
         for sid in shards:
-            if sid in self._checkpoints:
-                self._slices[sid] = ShardSlice.from_checkpoint(
-                    self._compose(sid), **self._slice_kwargs(sid))
-            else:
-                self._slices[sid] = ShardSlice(**self._slice_kwargs(sid))
+            self._slices[sid] = _revive(self._rewind(sid),
+                                        self._slice_kwargs(sid))
         for fence, plans, _ in self._plan_log:
             for sid in shards:
-                reports[sid] = self._slices[sid].run_epoch(
-                    fence, plans.get(sid))
+                reports[sid] = self._take(sid, self._slices[sid].run_epoch(
+                    fence, plans.get(sid)))
             self.recovery.replayed_epochs += 1
         return reports
 
     def _finalize(self) -> None:
+        """Collect every shard's metrics and attach its history."""
         states: dict[int, dict] = {}
         for worker, handle in sorted(self._pool.items()):
             try:
@@ -1199,6 +1152,9 @@ class ShardedFleetScheduler:
             states[sid] = self._slices[sid].collect()
         self.shard_metrics = [states[sid]["metrics"]
                               for sid in range(self.shards)]
+        for metrics, logs in zip(self.shard_metrics, self._logs):
+            for name, log in zip(_METRIC_LOGS, logs):
+                setattr(metrics, name, log)
         self._mapper_stats = sum_mapper_stats(
             states[sid]["mapper"] for sid in range(self.shards))
 

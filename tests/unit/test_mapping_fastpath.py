@@ -763,6 +763,24 @@ class TestExactMeshLemma:
             assert result.vmap[0] == 15
         assert call(ReferenceMapper(chip), request, set()).vmap[0] == 15
 
+    def test_slide_needs_the_full_coordinate_grid(self):
+        """The slide prices a rectangle by coordinates alone, so on a
+        chip missing a grid link (or with an extra one) the distance
+        must still equal the induced cost of the returned vmap."""
+        mesh = Topology.mesh2d(4, 4)
+        request = Topology.mesh2d(2, 2)
+        cut = Topology(mesh.nodes, mesh.edges[1:], coords=mesh.coords)
+        extra = Topology(mesh.nodes, mesh.edges + [(0, 5)],
+                         coords=mesh.coords)
+        for chip in (cut, extra):
+            mapper = TopologyMapper(chip)
+            for result in (mapper.map_similar(request, set()),
+                           mapper.map_exact(request)):
+                candidate = chip.subtopology(result.physical_cores)
+                assert result.distance == induced_edit_cost(
+                    request, candidate, result.vmap)
+                assert result.distance == 0.0
+
     def test_line_exact_only_as_an_l_is_undecided(self):
         chip = Topology.mesh2d(4, 4)
         mapper = TopologyMapper(chip)

@@ -11,7 +11,9 @@ the hang/watchdog, budget-exhaustion/degradation, collect-crash and
 checkpoint-disabled variants of the same invariant.
 """
 
+import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.serving import (
     generate_fleet_trace,
     merge_fleet_summaries,
 )
-from repro.serving.shard import partition_chips
+from repro.serving.shard import _METRIC_LOGS, partition_chips
 
 #: Crash-matrix shape: injected epochs x worker counts x variants.
 CRASH_EPOCHS = (0, 3)
@@ -163,91 +165,116 @@ class TestSupervisionKnobs:
 
 # -- slice checkpoint round-trip ---------------------------------------------
 
+def stitched_summary(metrics, reports, hz):
+    """A collected slice's summary with its reported history put back:
+    the metrics a slice collects carry no records or fault log, since
+    every fence report moved them out."""
+    for index, name in enumerate(_METRIC_LOGS):
+        setattr(metrics, name, [entry for report in reports
+                                for entry in report["logs"][index]])
+    return canonical(metrics.summary(hz))
+
+
+def slice_configs(chips=2):
+    return list(ShardedFleetScheduler.homogeneous(chips, cores=16).configs)
+
+
+def epoch_plans(trace, shift=0):
+    """Each epoch's admissions for a slice driven alone: like the
+    coordinator, only deal sessions whose arrival lies inside the epoch
+    (an in-flight arrival injector is not slice state). ``shift``
+    moves the trace that many cycles later and adds it to every
+    session id, so shifted copies are distinct sessions."""
+    from repro.serving.shard import AdmitOrder, EpochPlan
+    by_epoch: dict[int, list[AdmitOrder]] = {}
+    for session in trace:
+        by_epoch.setdefault((session.arrival_cycle + shift) // EPOCH_CYCLES,
+                            []).append(AdmitOrder(replace(
+                                session,
+                                arrival_cycle=session.arrival_cycle + shift,
+                                session_id=session.session_id + shift)))
+    return {epoch: EpochPlan(admissions=tuple(orders))
+            for epoch, orders in by_epoch.items()}
+
+
+def drive(slice_, plans, start_epoch=0):
+    """Run fences from ``start_epoch`` until every plan is dealt and
+    the slice is idle; returns the reports."""
+    reports = []
+    last = max(plans)
+    for epoch in range(start_epoch, start_epoch + 1000):
+        report = slice_.run_epoch((epoch + 1) * EPOCH_CYCLES,
+                                  plans.get(epoch))
+        reports.append(report)
+        if (epoch >= last and report["pending"] == 0
+                and report["active"] == 0):
+            return reports
+    raise AssertionError("slice never drained")
+
+
 class TestSliceCheckpoint:
     def test_checkpoint_restores_mid_run_slice(self):
-        # Checkpoints are *fence* checkpoints: like the coordinator,
-        # only deal sessions whose arrival lies inside the epoch (an
-        # in-flight arrival injector is not slice state).
-        from repro.serving.shard import AdmitOrder, EpochPlan
-        configs = [c for c in
-                   ShardedFleetScheduler.homogeneous(2, cores=16).configs]
-        trace = fleet_trace(5, sessions=6, chips=2)
+        configs = slice_configs()
         assert partition_chips(2, 1) == [(0, 1)]
-        by_epoch: dict[int, list[AdmitOrder]] = {}
-        for session in trace:
-            by_epoch.setdefault(session.arrival_cycle // EPOCH_CYCLES,
-                                []).append(AdmitOrder(session))
-        plans = {epoch: EpochPlan(admissions=tuple(orders))
-                 for epoch, orders in by_epoch.items()}
-        last = max(plans)
-
-        def drive(slice_, start_epoch=0, first_report=None):
-            reports = [] if first_report is None else [first_report]
-            for epoch in range(start_epoch, 200):
-                report = slice_.run_epoch((epoch + 1) * EPOCH_CYCLES,
-                                          plans.get(epoch))
-                reports.append(report)
-                if (epoch >= last and report["pending"] == 0
-                        and report["active"] == 0):
-                    return reports
-            raise AssertionError("slice never drained")
+        plans = epoch_plans(fleet_trace(5, sessions=6, chips=2))
 
         hz = configs[0].frequency_hz
         whole = ShardSlice(0, list(configs))
-        reports_a = drive(whole)
-        direct = canonical(whole.collect()["metrics"].summary(hz))
+        reports_a = drive(whole, plans)
+        direct = stitched_summary(whole.collect()["metrics"], reports_a, hz)
+        assert json.loads(direct)["sessions_completed"] == 6
 
         # Same drive, but serialize/deserialize the slice at fence 1.
         resumed = ShardSlice(0, list(configs))
         first = resumed.run_epoch(EPOCH_CYCLES, plans.get(0))
         revived = ShardSlice.from_checkpoint(
-            resumed.checkpoint(), shard_id=0, configs=list(configs))
-        reports_b = drive(revived, start_epoch=1, first_report=first)
+            resumed.checkpoint(), shard_id=0, configs=configs)
+        reports_b = [first] + drive(revived, plans, start_epoch=1)
         assert reports_b == reports_a
-        assert canonical(
-            revived.collect()["metrics"].summary(hz)) == direct
+        assert stitched_summary(revived.collect()["metrics"], reports_b,
+                                hz) == direct
 
-    def test_delta_checkpoints_ship_only_the_metrics_tail(self):
-        # The first checkpoint is always full (base None); subsequent
-        # delta checkpoints carry only the metrics history appended
-        # since, and must shrink versus re-shipping everything. Either
-        # way the live metrics object is untouched by the dump.
+    def test_checkpoint_holds_no_history(self):
+        # Three identical rounds of sessions, faults during the first:
+        # the checkpoint after round three pickles no SessionRecord and
+        # no fault-log entry, and is no bigger than after round two.
         import pickle
-        configs = [c for c in
-                   ShardedFleetScheduler.homogeneous(2, cores=16).configs]
-        slice_ = ShardSlice(0, list(configs))
-        from repro.serving.shard import AdmitOrder, EpochPlan
-        trace = fleet_trace(5, sessions=6, chips=2)
-        plan = EpochPlan(admissions=tuple(
-            AdmitOrder(s) for s in trace
-            if s.arrival_cycle < EPOCH_CYCLES))
-        slice_.run_epoch(EPOCH_CYCLES, plan)
-        first = slice_.checkpoint(delta=True)
-        assert pickle.loads(first)["base"] is None
-        for epoch in range(1, 30):
-            report = slice_.run_epoch((epoch + 1) * EPOCH_CYCLES, None)
-            if report["pending"] == 0 and report["active"] == 0:
-                break
-        records = len(slice_.fleet.metrics.records)
-        full = slice_.checkpoint()
-        delta = slice_.checkpoint(delta=True)
-        assert len(delta) < len(full)
-        shipped = pickle.loads(delta)
-        assert shipped["base"] is not None
-        assert len(shipped["fleet"]["metrics"].records) < records
-        assert len(slice_.fleet.metrics.records) == records
+        from repro.serving.metrics import SessionRecord
+        configs = slice_configs()
+        trace = fleet_trace(5, sessions=12, chips=2)
+        span = (max(s.arrival_cycle for s in trace) // EPOCH_CYCLES
+                + 50) * EPOCH_CYCLES
+        faults = generate_failure_schedule(
+            3, chips=2, horizon_cycles=span // 2, failures=2,
+            mean_outage_cycles=EPOCH_CYCLES)
+        slice_ = ShardSlice(0, configs, faults=faults)
+        history: list[dict] = []
+        blobs: list[bytes] = []
+        epoch = 0
+        for round_ in range(3):
+            plans = epoch_plans(trace, shift=round_ * span)
+            epoch = max(epoch, min(plans))
+            reports = drive(slice_, plans, start_epoch=epoch)
+            epoch += len(reports)
+            history.extend(reports)
+            blobs.append(slice_.checkpoint())
 
-    def test_delta_blob_cannot_restore_alone(self):
-        configs = [c for c in
-                   ShardedFleetScheduler.homogeneous(2, cores=16).configs]
-        slice_ = ShardSlice(0, list(configs))
-        slice_.run_epoch(EPOCH_CYCLES, None)
-        slice_.checkpoint(delta=True)
-        slice_.run_epoch(2 * EPOCH_CYCLES, None)
-        delta = slice_.checkpoint(delta=True)
-        with pytest.raises(ServingError, match="delta checkpoint"):
-            ShardSlice.from_checkpoint(delta, shard_id=0,
-                                       configs=list(configs))
+        records = sum(len(r["logs"][0]) for r in history)
+        assert records == 3 * len(trace)
+        assert sum(len(r["logs"][1]) for r in history) > 0
+
+        found: set[str] = set()
+
+        class Classes(pickle.Unpickler):
+            def find_class(self, module, name):
+                found.add(name)
+                return super().find_class(module, name)
+
+        state = Classes(io.BytesIO(blobs[-1])).load()
+        assert SessionRecord.__name__ not in found
+        assert state["fleet"]["metrics"].records == []
+        assert state["fleet"]["metrics"].fault_log == []
+        assert len(blobs[2]) <= len(blobs[1])
 
 
 # -- the recovery determinism contract ---------------------------------------
@@ -315,6 +342,37 @@ class TestCrashMatrix:
         recovery = summary.pop("recovery")
         # Last checkpoint at epoch 4 -> epochs 5, 6, 7 replayed.
         assert recovery["replayed_epochs"] == 3
+        assert canonical(summary) == canonical(oracle("plain"))
+
+    def test_collect_crash_folds_several_epochs(self):
+        # Seed 14 at 20M-cycle fences runs 5 epochs: with a checkpoint
+        # every third fence the last one is at epoch 2, so the fold at
+        # collect replays epochs 3 and 4, and shard 1 departs a session
+        # in epoch 3 — the intermediate report must keep its record.
+        trace = fleet_trace(14)
+        expected = run_sharded(trace, 1, epoch_cycles=20_000_000)
+        assert expected["sharding"]["epochs"] == 5
+        crashes = CrashSchedule((CrashEvent("crash_on_collect", shard=1),))
+        summary = run_sharded(trace, 2, crashes=crashes,
+                              checkpoint_every=3, epoch_cycles=20_000_000)
+        recovery = summary.pop("recovery")
+        assert recovery["degraded_shards"] == 2
+        assert recovery["replayed_epochs"] == 2
+        assert canonical(summary) == canonical(expected)
+
+    def test_budget_exhaustion_between_checkpoints(self):
+        # Checkpoints at epochs 2 and 5; the crash at epoch 4 exhausts
+        # the budget, so the fold restores epoch 2 and replays 3 and 4.
+        crashes = CrashSchedule((
+            CrashEvent("crash", shard=1, epoch=4),
+            CrashEvent("crash_on_restore", shard=1, count=2),
+        ))
+        summary = run_sharded(fleet_trace(), 2, crashes=crashes,
+                              checkpoint_every=3, respawn_budget=2)
+        recovery = summary.pop("recovery")
+        assert recovery["respawns"] == 2
+        assert recovery["degraded_shards"] == 2
+        assert recovery["replayed_epochs"] == 2
         assert canonical(summary) == canonical(oracle("plain"))
 
     def test_crash_free_multiworker_run_has_no_recovery_block(self):
