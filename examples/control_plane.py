@@ -1,10 +1,10 @@
 """Always-on serving: a control plane, a wire client, a warm restart.
 
 Starts a :class:`ControlPlane` on a Unix socket in ``realtime`` mode
-(simulated cycles advance with scaled wall time), admits a declarative
-:class:`TraceSpec` workload over the newline-delimited JSON protocol,
-watches the live metrics move, then drains, snapshots and restores the
-whole service from the checkpoint file.
+(simulated cycles advance with scaled wall time), admits a seeded
+bursty :func:`generate_trace` workload over the newline-delimited JSON
+protocol, watches the live metrics move, then drains, snapshots and
+restores the whole service from the checkpoint file.
 
 Run:  python examples/control_plane.py
 """
@@ -18,7 +18,7 @@ from repro.serving import (
     ControlPlane,
     ServiceClient,
     ServingConfig,
-    TraceSpec,
+    generate_trace,
 )
 
 
@@ -29,10 +29,9 @@ async def demo() -> None:
         "policy": "priority",
         "elastic": "shrink_then_preempt",
     })
-    spec = TraceSpec(max_cores=16, arrival_process="bursty",
-                     slo_mix=DEFAULT_SLO_MIX,
-                     mean_interarrival_cycles=500_000)
-    trace = spec.generate(seed=7, sessions=24)
+    trace = generate_trace(7, 24, max_cores=16, arrival_process="bursty",
+                           slo_mix=DEFAULT_SLO_MIX,
+                           mean_interarrival_cycles=500_000)
 
     with tempfile.TemporaryDirectory(prefix="control-plane-") as scratch:
         socket_path = str(Path(scratch) / "serving.sock")

@@ -266,15 +266,7 @@ class Hypervisor:
         resident_bytes = vnpu.memory_bytes
 
         if in_place:
-            old_mapping = vnpu.mapping
-            self._teardown(vnpu)
-            try:
-                migrated = self._provision(vnpu.spec, mapping, vmid=vmid)
-            except AllocationError:
-                # Restore the original placement (same cores, same block
-                # sizes against the just-freed space: cannot fail).
-                self._provision(vnpu.spec, old_mapping, vmid=vmid)
-                raise
+            migrated = self._reprovision(vnpu, vnpu.spec, mapping)
         else:
             migrated = destination._provision(vnpu.spec, mapping)
             self._teardown(vnpu)
@@ -325,15 +317,7 @@ class Hypervisor:
         in_place = new_cores <= own or new_cores >= own
         retained = min(vnpu.memory_bytes, new_request.memory_bytes)
 
-        old_mapping, old_spec = vnpu.mapping, vnpu.spec
-        self._teardown(vnpu)
-        try:
-            resized = self._provision(new_request, mapping, vmid=vmid)
-        except AllocationError:
-            # Restore the original placement (same cores, same block
-            # sizes against the just-freed space: cannot fail).
-            self._provision(old_spec, old_mapping, vmid=vmid)
-            raise
+        resized = self._reprovision(vnpu, new_request, mapping)
         cycles = self._resize_cycles(retained, resized,
                                      relocated=not in_place)
         return resized, cycles
@@ -395,6 +379,20 @@ class Hypervisor:
         if fresh_vmid:
             self._next_vmid += 1
         return vnpu
+
+    def _reprovision(self, vnpu: VirtualNPU, spec: VNpuSpec,
+                     mapping: MappingResult) -> VirtualNPU:
+        """Re-place ``vnpu`` on this chip as ``spec`` on ``mapping``,
+        keeping its VMID; on failure the original vNPU is back as it was.
+        """
+        self._teardown(vnpu)
+        try:
+            return self._provision(spec, mapping, vmid=vnpu.vmid)
+        except AllocationError:
+            # Restore the original placement (same cores, same block
+            # sizes against the just-freed space: cannot fail).
+            self._provision(vnpu.spec, vnpu.mapping, vmid=vnpu.vmid)
+            raise
 
     def _teardown(self, vnpu: VirtualNPU) -> None:
         """Release every resource ``vnpu`` holds on this chip."""

@@ -10,8 +10,9 @@ policies and live vNPU migration for defragmentation
 delays, utilization and fragmentation over time; a one-chip serving
 run is a one-chip fleet. Every scheduler knob can be bundled as a
 validated, wire-serializable :class:`ServingConfig` and passed as
-``**config.fleet_kwargs()``. Sessions are priced through a pluggable
-:mod:`repro.cost` fidelity tier
+``**config.fleet_kwargs()``; a trace recipe is just
+:func:`generate_trace`'s keyword knobs. Sessions are priced through a
+pluggable :mod:`repro.cost` fidelity tier
 (``cost_model="analytic" | "executor" | "cached"``) and, when given an
 ``elastic=`` policy, enforce :class:`SLOClass` objectives by live
 grow/shrink resizing and preemption of lower tiers
@@ -128,7 +129,6 @@ from repro.serving.workload import (
     MODEL_BUILDERS,
     SHAPE_MIX,
     TenantSession,
-    TraceSpec,
     generate_fleet_trace,
     generate_trace,
 )
@@ -184,7 +184,6 @@ __all__ = [
     "ShrinkPolicy",
     "ShrinkThenPreemptPolicy",
     "TenantSession",
-    "TraceSpec",
     "available_elastics",
     "available_placements",
     "available_policies",

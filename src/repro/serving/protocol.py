@@ -35,8 +35,8 @@ from repro.serving.metrics import canonical_json
 from repro.serving.workload import TenantSession
 
 #: Every operation the control plane understands.
-OPS = ("admit", "withdraw", "status", "metrics", "snapshot", "restore",
-       "drain", "shutdown")
+OPS = ("admit", "withdraw", "status", "metrics", "snapshot", "drain",
+       "shutdown")
 
 #: Hard cap on one wire line — a malformed client cannot balloon the
 #: server's line buffer (1 MiB fits any fleet summary by ~3 orders).

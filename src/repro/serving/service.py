@@ -5,8 +5,8 @@ in an asyncio front-end: clients connect over TCP or a Unix socket and
 speak the newline-delimited JSON protocol of
 :mod:`repro.serving.protocol` — ``admit`` tenant sessions, ``withdraw``
 pending ones, poll ``status``/``metrics``, checkpoint with
-``snapshot``/``restore``, advance the simulation with ``drain`` and stop
-the service with ``shutdown``.
+``snapshot``, advance the simulation with ``drain`` and stop the service
+with ``shutdown``.
 
 Two clocks, two modes
 ---------------------
@@ -54,6 +54,8 @@ Warm restart
 service's own knobs; :meth:`ControlPlane.restore` (or ``python -m
 repro.serving.service --restore``) rebuilds the whole service in a
 fresh process and continues the run on the checkpointed timeline.
+Restoring is a start-up step only: the protocol has no ``restore`` op,
+so no client can make a running service unpickle a file.
 """
 
 from __future__ import annotations
@@ -318,28 +320,6 @@ class ControlPlane:
         plane.busy_responses = service["busy_responses"]
         return plane
 
-    def _restore_in_place(self, path: str) -> None:
-        """The protocol ``restore`` op: adopt a checkpoint, fresh only.
-
-        Refused once this service has accepted work or advanced its
-        clock — restore replaces the scheduler wholesale, which would
-        silently discard a live run.
-        """
-        if (self._backlog or self.fleet._started
-                or self.fleet.sim.now > 0 or self.admitted_total):
-            raise ServingError(
-                "restore refused: this service already has state; "
-                "restore into a fresh process instead")
-        restored = ControlPlane.restore(path, autostart=False)
-        self.config = restored.config
-        self.fleet = restored.fleet
-        self.mode = restored.mode
-        self.cycles_per_second = restored.cycles_per_second
-        self.max_pending = restored.max_pending
-        self._backlog = restored._backlog
-        self.admitted_total = restored.admitted_total
-        self.busy_responses = restored.busy_responses
-
     # -- protocol dispatch -------------------------------------------------
     async def handle_message(self, message: dict) -> dict:
         """One request dict in, one response dict out (never raises)."""
@@ -368,14 +348,6 @@ class ControlPlane:
                 async with self._lock:
                     return ok_response("snapshot",
                                        path=self.snapshot_to(str(path)))
-            if op == "restore":
-                path = message.get("path")
-                if not path:
-                    raise ProtocolError("restore needs a 'path' field")
-                async with self._lock:
-                    self._restore_in_place(str(path))
-                    return ok_response("restore",
-                                       cycle=self.fleet.sim.now)
             if op == "drain":
                 until = message.get("until")
                 return await self.drain(None if until is None
@@ -517,9 +489,6 @@ class ServiceClient:
 
     async def snapshot(self, path: str) -> dict:
         return await self.call("snapshot", path=path)
-
-    async def restore(self, path: str) -> dict:
-        return await self.call("restore", path=path)
 
     async def drain(self, until: "int | None" = None) -> dict:
         if until is None:

@@ -19,13 +19,18 @@ name. All new RNG draws are appended strictly *after* the original
 per-session ``(gap, shape, model, inferences, sticky, priority)``
 sequence, so every historical seed re-deals identically (the golden-hash
 trace tests pin this).
+
+A trace recipe has one spelling: :func:`generate_trace`'s keyword
+knobs, validated fail-fast before the first draw.
+:func:`generate_fleet_trace` scales one recipe to a fleet and forwards
+the rest of its knobs unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.arch.config import MB
 from repro.arch.topology import MeshShape
@@ -114,68 +119,6 @@ def _diurnal_gap_factor(cycle: int, period_cycles: int,
     return round(1.0 / rate, 9)
 
 
-#: Default value of every ``generate_trace`` knob (everything but the
-#: positional ``seed``/``sessions``), in signature order. Also the
-#: :class:`TraceSpec` field schema — the lockstep assert below pins it.
-_TRACE_DEFAULTS: dict = {
-    "max_cores": 36,
-    "mean_interarrival_cycles": 2_000_000,
-    "min_inferences": 20,
-    "max_inferences": 200,
-    "memory_per_core_bytes": 32 * MB,
-    "shape_mix": SHAPE_MIX,
-    "sticky_fraction": 0.0,
-    "sticky_multiplier": 10,
-    "arrival_process": "poisson",
-    "burst_gap_factor": 0.1,
-    "burst_enter_prob": 0.08,
-    "burst_exit_prob": 0.25,
-    "diurnal_period_cycles": 200_000_000,
-    "diurnal_amplitude": 0.8,
-    "slo_mix": None,
-}
-
-
-def _validate_trace_knobs(max_cores: int,
-                          shape_mix: tuple,
-                          sticky_fraction: float,
-                          arrival_process: str,
-                          burst_gap_factor: float,
-                          burst_enter_prob: float,
-                          burst_exit_prob: float,
-                          diurnal_period_cycles: int,
-                          diurnal_amplitude: float,
-                          slo_mix: "tuple | None") -> None:
-    """Fail-fast knob validation, shared by :func:`generate_trace` and
-    :class:`TraceSpec` (which validates at construction, before any
-    generation happens). Pure checks — no RNG is touched, so factoring
-    this out cannot move a draw."""
-    if not 0.0 <= sticky_fraction <= 1.0:
-        raise ServingError(
-            f"sticky_fraction must be in [0, 1], got {sticky_fraction}")
-    if arrival_process not in ARRIVAL_PROCESSES:
-        raise ServingError(
-            f"unknown arrival process {arrival_process!r}; "
-            f"known: {ARRIVAL_PROCESSES}")
-    if burst_gap_factor <= 0.0:
-        raise ServingError(
-            f"burst_gap_factor must be positive, got {burst_gap_factor}")
-    if not (0.0 <= burst_enter_prob <= 1.0 and 0.0 <= burst_exit_prob <= 1.0):
-        raise ServingError("burst enter/exit probabilities must be in [0, 1]")
-    if not 0.0 <= diurnal_amplitude < 1.0:
-        raise ServingError(
-            f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}")
-    if diurnal_period_cycles < 1:
-        raise ServingError(
-            f"diurnal_period_cycles must be positive, got "
-            f"{diurnal_period_cycles}")
-    if slo_mix is not None:
-        for name, _weight in slo_mix:
-            resolve_slo(name)  # fail fast on unregistered classes
-    if not any(shape.node_count <= max_cores for shape, _ in shape_mix):
-        raise ServingError(f"no trace shape fits a {max_cores}-core chip")
-
-
 def generate_trace(seed: int,
                    sessions: int,
                    max_cores: int = 36,
@@ -192,8 +135,7 @@ def generate_trace(seed: int,
                    burst_exit_prob: float = 0.25,
                    diurnal_period_cycles: int = 200_000_000,
                    diurnal_amplitude: float = 0.8,
-                   slo_mix: tuple | None = None,
-                   spec: "TraceSpec | None" = None) -> list[TenantSession]:
+                   slo_mix: tuple | None = None) -> list[TenantSession]:
     """A deterministic trace of ``sessions`` tenant sessions.
 
     Shapes larger than ``max_cores`` are excluded from the mix so every
@@ -217,51 +159,39 @@ def generate_trace(seed: int,
     *after* the original per-session sequence, so the per-session
     ``(shape, model, inferences, priority)`` deal is identical across
     arrival processes for one seed.
-
-    ``spec=`` is the declarative overload: ``generate_trace(seed, n,
-    spec=TraceSpec(...))`` forwards the spec's knobs verbatim (so it
-    draws the exact sequence the equivalent kwarg call would). Passing
-    any other knob alongside ``spec`` is a conflict and raises.
     """
-    if spec is not None:
-        passed = {
-            "max_cores": max_cores,
-            "mean_interarrival_cycles": mean_interarrival_cycles,
-            "min_inferences": min_inferences,
-            "max_inferences": max_inferences,
-            "memory_per_core_bytes": memory_per_core_bytes,
-            "shape_mix": shape_mix,
-            "sticky_fraction": sticky_fraction,
-            "sticky_multiplier": sticky_multiplier,
-            "arrival_process": arrival_process,
-            "burst_gap_factor": burst_gap_factor,
-            "burst_enter_prob": burst_enter_prob,
-            "burst_exit_prob": burst_exit_prob,
-            "diurnal_period_cycles": diurnal_period_cycles,
-            "diurnal_amplitude": diurnal_amplitude,
-            "slo_mix": slo_mix,
-        }
-        conflicts = sorted(key for key, value in passed.items()
-                           if value != _TRACE_DEFAULTS[key])
-        if conflicts:
-            raise ServingError(
-                f"generate_trace(spec=...) conflicts with explicit "
-                f"kwargs {conflicts}; put those knobs in the TraceSpec")
-        return generate_trace(seed, sessions, **spec.kwargs())
     if sessions < 1:
         raise ServingError(f"trace needs at least one session, got {sessions}")
-    _validate_trace_knobs(max_cores, shape_mix, sticky_fraction,
-                          arrival_process, burst_gap_factor,
-                          burst_enter_prob, burst_exit_prob,
-                          diurnal_period_cycles, diurnal_amplitude, slo_mix)
+    if not 0.0 <= sticky_fraction <= 1.0:
+        raise ServingError(
+            f"sticky_fraction must be in [0, 1], got {sticky_fraction}")
+    if arrival_process not in ARRIVAL_PROCESSES:
+        raise ServingError(
+            f"unknown arrival process {arrival_process!r}; "
+            f"known: {ARRIVAL_PROCESSES}")
+    if burst_gap_factor <= 0.0:
+        raise ServingError(
+            f"burst_gap_factor must be positive, got {burst_gap_factor}")
+    if not (0.0 <= burst_enter_prob <= 1.0 and 0.0 <= burst_exit_prob <= 1.0):
+        raise ServingError("burst enter/exit probabilities must be in [0, 1]")
+    if not 0.0 <= diurnal_amplitude < 1.0:
+        raise ServingError(
+            f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}")
+    if diurnal_period_cycles < 1:
+        raise ServingError(
+            f"diurnal_period_cycles must be positive, got "
+            f"{diurnal_period_cycles}")
     slo_names: list[str] = []
     slo_weights: list[int] = []
     if slo_mix is not None:
         for name, weight in slo_mix:
+            resolve_slo(name)  # fail fast on unregistered classes
             slo_names.append(name)
             slo_weights.append(weight)
     shapes = [(shape, weight) for shape, weight in shape_mix
               if shape.node_count <= max_cores]
+    if not shapes:
+        raise ServingError(f"no trace shape fits a {max_cores}-core chip")
     rng = random.Random(seed)
     models = sorted(MODEL_BUILDERS)
     population = [shape for shape, _ in shapes]
@@ -310,117 +240,6 @@ def generate_trace(seed: int,
             slo=slo,
         ))
     return trace
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """A declarative, wire-serializable trace recipe.
-
-    One frozen object naming every :func:`generate_trace` knob (the
-    seed and session count stay out — they are the *identity* of a
-    concrete trace, the spec is its shape). Validated fail-fast on
-    construction through the same checks ``generate_trace`` runs, and
-    round-trips through plain JSON-able dicts, so a control plane can
-    ship a workload recipe over a socket or pin it in a checkpoint.
-
-    ``spec.generate(seed, sessions)`` forwards the knobs verbatim to
-    :func:`generate_trace`, drawing the exact RNG sequence the
-    equivalent kwarg call draws — the golden-hash traces are reachable
-    through either spelling.
-    """
-
-    max_cores: int = 36
-    mean_interarrival_cycles: int = 2_000_000
-    min_inferences: int = 20
-    max_inferences: int = 200
-    memory_per_core_bytes: int = 32 * MB
-    shape_mix: tuple = SHAPE_MIX
-    sticky_fraction: float = 0.0
-    sticky_multiplier: int = 10
-    arrival_process: str = "poisson"
-    burst_gap_factor: float = 0.1
-    burst_enter_prob: float = 0.08
-    burst_exit_prob: float = 0.25
-    diurnal_period_cycles: int = 200_000_000
-    diurnal_amplitude: float = 0.8
-    slo_mix: "tuple | None" = None
-
-    def __post_init__(self) -> None:
-        # JSON round-trips turn the mix tuples into lists; normalize so
-        # from_dict(to_dict()) compares equal to the original spec.
-        object.__setattr__(self, "shape_mix", tuple(
-            (MeshShape(*shape) if not isinstance(shape, MeshShape)
-             else shape, weight)
-            for shape, weight in self.shape_mix))
-        if self.slo_mix is not None:
-            object.__setattr__(self, "slo_mix", tuple(
-                (str(name), weight) for name, weight in self.slo_mix))
-        _validate_trace_knobs(self.max_cores, self.shape_mix,
-                              self.sticky_fraction, self.arrival_process,
-                              self.burst_gap_factor, self.burst_enter_prob,
-                              self.burst_exit_prob,
-                              self.diurnal_period_cycles,
-                              self.diurnal_amplitude, self.slo_mix)
-
-    def kwargs(self) -> dict:
-        """The spec as :func:`generate_trace` keyword arguments."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def generate(self, seed: int, sessions: int) -> "list[TenantSession]":
-        """The concrete trace this recipe names for one seed."""
-        return generate_trace(seed, sessions, **self.kwargs())
-
-    # -- wire format --------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-able dict (mix tuples become nested lists)."""
-        data = self.kwargs()
-        data["shape_mix"] = [[shape.rows, shape.cols, weight]
-                             for shape, weight in self.shape_mix]
-        if self.slo_mix is not None:
-            data["slo_mix"] = [[name, weight]
-                               for name, weight in self.slo_mix]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceSpec":
-        """Rebuild a spec from :meth:`to_dict` output (fail-fast).
-
-        Unknown keys are rejected naming them; missing keys keep their
-        defaults, so partial specs are valid.
-        """
-        if not isinstance(data, dict):
-            raise ServingError(f"trace spec must be a dict; got {data!r}")
-        unknown = sorted(set(data) - set(_TRACE_DEFAULTS))
-        if unknown:
-            raise ServingError(
-                f"unknown trace spec keys {unknown}; "
-                f"choose from {tuple(_TRACE_DEFAULTS)}")
-        kwargs = dict(data)
-        if "shape_mix" in kwargs:
-            try:
-                kwargs["shape_mix"] = tuple(
-                    (MeshShape(rows, cols), weight)
-                    for rows, cols, weight in kwargs["shape_mix"])
-            except (TypeError, ValueError) as error:
-                raise ServingError(
-                    f"bad shape_mix spec {data['shape_mix']!r}: "
-                    f"{error}") from None
-        if kwargs.get("slo_mix") is not None:
-            try:
-                kwargs["slo_mix"] = tuple(
-                    (name, weight) for name, weight in kwargs["slo_mix"])
-            except (TypeError, ValueError) as error:
-                raise ServingError(
-                    f"bad slo_mix spec {data['slo_mix']!r}: "
-                    f"{error}") from None
-        return cls(**kwargs)
-
-
-#: Field-name/default lockstep between the spec and the generator (a
-#: drift here would silently fork the two spellings of one recipe).
-assert tuple(_TRACE_DEFAULTS) == tuple(f.name for f in fields(TraceSpec))
-assert all(getattr(TraceSpec(), name) == value
-           for name, value in _TRACE_DEFAULTS.items())
 
 
 def generate_fleet_trace(seed: int,

@@ -362,31 +362,27 @@ class TestWarmRestart:
         assert [s.session_id for s in restored._backlog] == [
             s.session_id for s in trace[:3]]
 
-    def test_restore_op_refused_on_a_dirty_service(self, tmp_path):
+    def test_restore_is_not_a_protocol_op(self, tmp_path):
+        # Restoring unpickles a file, so it happens only at start-up
+        # (ControlPlane.restore / --restore), never on a client's word.
         trace = fleet_trace(sessions=6)
         snap = str(tmp_path / "svc.snapshot.pkl")
 
-        async def restore_twice():
+        async def ask_to_restore():
             source = make_plane()
             for session in trace:
                 source.admit(session)
             await source.drain(until=self.pause_point(trace))
             source.snapshot_to(snap)
             fresh = make_plane()
-            adopted = await fresh.handle_message(
+            answer = await fresh.handle_message(
                 {"op": "restore", "path": snap})
-            dirty = await fresh.handle_message(
-                {"op": "restore", "path": snap})
-            missing = await fresh.handle_message({"op": "restore"})
-            return fresh, adopted, dirty, missing
+            return fresh, answer
 
-        fresh, adopted, dirty, missing = asyncio.run(restore_twice())
-        assert adopted["status"] == "ok"
-        assert adopted["cycle"] == fresh.fleet.sim.now > 0
-        assert dirty["status"] == "error"
-        assert "restore refused" in dirty["message"]
-        assert missing["status"] == "error"
-        assert "path" in missing["message"]
+        fresh, answer = asyncio.run(ask_to_restore())
+        assert answer["status"] == "error"
+        assert answer["message"].startswith("unknown op 'restore'")
+        assert fresh.fleet.sim.now == 0 and fresh.admitted_total == 0
 
     def test_cli_config_file_and_headless_drain(self, tmp_path):
         # The service CLI end to end without sockets: a wire-dict

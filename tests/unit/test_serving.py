@@ -57,9 +57,21 @@ class TestTraceGenerator:
         trace = generate_trace(5, 100, max_cores=16)
         assert all(s.core_count <= 16 for s in trace)
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ServingError):
-            generate_trace(0, 0)
+    @pytest.mark.parametrize("sessions,knobs,message", [
+        (0, {}, "at least one session"),
+        (5, {"sticky_fraction": 1.5}, "sticky_fraction"),
+        (5, {"arrival_process": "nope"}, "unknown arrival process"),
+        (5, {"burst_gap_factor": 0}, "burst_gap_factor"),
+        (5, {"burst_enter_prob": 2}, "burst enter/exit"),
+        (5, {"diurnal_amplitude": 1.0}, "diurnal_amplitude"),
+        (5, {"diurnal_period_cycles": 0}, "diurnal_period_cycles"),
+        (5, {"slo_mix": (("platinum", 1),)}, "platinum"),
+        (5, {"max_cores": 16, "shape_mix": ((MeshShape(6, 6), 1),)},
+         "no trace shape fits a 16-core chip"),
+    ])
+    def test_empty_trace_rejected(self, sessions, knobs, message):
+        with pytest.raises(ServingError, match=message):
+            generate_trace(0, sessions, **knobs)
 
 
 class TestMappingCache:

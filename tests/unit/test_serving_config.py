@@ -1,6 +1,6 @@
-"""The declarative config API: ServingConfig, TraceSpec, coerce unity.
+"""The declarative config API: ServingConfig and coerce unity.
 
-Three contracts:
+Two contracts:
 
 - ``ServingConfig.from_dict(cfg.to_dict())`` round-trips to an equal
   config for every registered policy/placement/elastic/cost-tier/
@@ -8,9 +8,6 @@ Three contracts:
   ``**config.fleet_kwargs()`` produce byte-identical results to the
   same knobs passed as kwargs, and every config field is a
   ``FleetScheduler`` keyword with the same default (the lockstep).
-- ``TraceSpec`` names the same trace as the equivalent
-  ``generate_trace`` kwargs for every arrival process, round-trips
-  through JSON, and conflicts loudly with explicit kwargs.
 - Every coerce helper speaks the one registry convention: unknown
   values raise :class:`ServingError` naming the offending value and
   the registered choices.
@@ -34,7 +31,6 @@ from repro.serving import (
     FailureSchedule,
     FleetScheduler,
     ServingConfig,
-    TraceSpec,
     available_elastics,
     available_placements,
     available_policies,
@@ -43,10 +39,8 @@ from repro.serving import (
     coerce_placement,
     coerce_policy,
     generate_fleet_trace,
-    generate_trace,
     resolve_policy,
 )
-from repro.serving.workload import _TRACE_DEFAULTS
 
 
 def wire_roundtrip(config: ServingConfig) -> ServingConfig:
@@ -207,50 +201,6 @@ class TestSchedulerAcceptsConfig:
         assert scheduler.faults is config.faults
         assert scheduler.metrics.faults_enabled
         assert scheduler.evacuation == "kill_requeue"
-
-
-class TestTraceSpec:
-    @pytest.mark.parametrize("knobs", [
-        {},
-        {"arrival_process": "bursty"},
-        {"arrival_process": "diurnal", "diurnal_amplitude": 0.5},
-        {"slo_mix": DEFAULT_SLO_MIX, "sticky_fraction": 0.2},
-    ])
-    def test_spec_names_the_same_trace(self, knobs):
-        assert (TraceSpec(**knobs).generate(9, 40)
-                == generate_trace(9, 40, **knobs))
-
-    def test_spec_overload_forwards(self):
-        spec = TraceSpec(arrival_process="bursty", max_cores=16)
-        assert (generate_trace(5, 25, spec=spec)
-                == generate_trace(5, 25, arrival_process="bursty",
-                                  max_cores=16))
-
-    def test_spec_conflicts_with_explicit_kwargs(self):
-        with pytest.raises(ServingError, match="conflicts with explicit"):
-            generate_trace(5, 25, max_cores=16, spec=TraceSpec())
-
-    def test_dict_roundtrip(self):
-        spec = TraceSpec(arrival_process="diurnal", max_cores=16,
-                         slo_mix=DEFAULT_SLO_MIX, sticky_fraction=0.25)
-        decoded = TraceSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert decoded == spec
-        assert decoded.generate(3, 20) == spec.generate(3, 20)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ServingError, match="unknown trace spec"):
-            TraceSpec.from_dict({"arrivals": "bursty"})
-
-    def test_spec_validates_at_construction(self):
-        with pytest.raises(ServingError, match="unknown arrival process"):
-            TraceSpec(arrival_process="nope")
-        with pytest.raises(ServingError, match="sticky_fraction"):
-            TraceSpec(sticky_fraction=1.5)
-
-    def test_defaults_locked_to_generator_signature(self):
-        # The lockstep assert in workload.py is the real guard; this
-        # pins the visible behavior: a default spec = default kwargs.
-        assert TraceSpec().kwargs() == dict(_TRACE_DEFAULTS)
 
 
 class TestCoerceConvention:
