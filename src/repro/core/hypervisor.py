@@ -447,8 +447,7 @@ class Hypervisor:
     def _try_shaped_table(self, vmid: int,
                           mapping: MappingResult) -> ShapedRoutingTable | None:
         """Use the 1-entry shaped form when the block is a contiguous mesh."""
-        physical = self.chip.topology.subtopology(mapping.physical_cores)
-        shape = physical.mesh_shape()
+        shape = self.mapper.block_shape(mapping.physical_cores)
         if shape is None:
             return None
         v_cores = sorted(mapping.vmap)

@@ -23,11 +23,21 @@ keeps worst cases bounded (the paper prunes and parallelizes similarly).
 Under fleet churn the mapper is the dominant serving cost, so it is
 built for speed:
 
-- *memoized free sets* — :meth:`TopologyMapper.free_topology` is a pure
-  function of the ``allocated`` set it is given, memoized in a
-  two-entry LRU keyed by ``frozenset(allocated)``. The hypervisor passes
-  its immutable occupancy record, so a repeat lookup costs one cached
-  hash and an identity match; the mapper holds no occupancy of its own;
+- *bitboards* — a free set and a candidate are int bitmasks over the
+  chip's sorted node order (bit ``i`` is ``chip.nodes[i]``), and
+  :class:`ShapeMemos` keeps, once per chip type, every core's neighbour
+  mask and every coordinate rectangle's mask. ESU extends masks lowest
+  bit first (the order of a sorted extension set), the mesh slide tests
+  each precomputed rectangle with one ``mask & taken``, and a
+  certificate miss runs WL colour refinement on the neighbour masks;
+- *memoized free sets* — :meth:`TopologyMapper.free_topology` and the
+  free mask behind it are pure functions of the ``allocated`` set they
+  are given, memoized in a two-entry LRU keyed by
+  ``frozenset(allocated)``. The hypervisor passes its immutable
+  occupancy record, so a repeat lookup costs one cached hash and an
+  identity match; the mapper holds no occupancy of its own. The entry
+  stores the free mask; a free ``Topology`` is built only when
+  :meth:`~TopologyMapper.map_fragmented` or a caller asks for one;
 - *shape-canonical memos* — WL certificates, lower bounds, Hungarian
   scores and 2-opt polish results are keyed by the candidate's
   **shape**, not its node set, and live in one :class:`ShapeMemos` per
@@ -54,24 +64,31 @@ built for speed:
 
 The unoptimized reference implementation of Algorithm 1 lives with the
 tests, as ``ReferenceMapper`` in ``tests/unit/mapping_oracle.py``: fresh
-free-set builds, no memos or screening, the scalar Hungarian loop and
-the full-recompute polish over every seed. Property tests and the
+free-set builds, the set-based ESU, the coordinate-walk mesh slide, a
+subtopology and ``wl_certificate`` per candidate, no memos or
+screening, the scalar Hungarian loop and the full-recompute polish over
+every seed. Property tests and the
 ``bench_mapping_perf`` corpus replay hold this mapper to identical
 ``(distance, vmap)`` results.
 
 **Shape keys.** On a full row-major mesh (``node == row * cols + col``,
 every edge a grid step — every ``SoCConfig`` chip) a candidate's key is
-its sorted node ids relative to ``base``, the id of its bounding-box
-corner ``(r0, c0)`` (a bijective encoding of ``(row - r0, col - c0)``),
-plus the relative positions of attribute-tagged cores. Translation
-shifts every id by the same offset, so it preserves the induced
-subgraph, node order, sorted BFS neighbours and enumeration-index
-tie-breaks: a certificate, bound or score found for one translate holds
-for all of them, and stored vmaps are relative (``p - base``),
-translated back on a hit. The one catch is the zig-zag polish seed,
-which flips direction on odd rows, so polish keys also carry
-``r0 % 2``. On any other chip the key degrades to ``frozenset(nodes)``
-with base 0 through the same code path.
+its mask shifted down by ``base``, the id of its bounding-box corner
+``(r0, c0)`` (a bijective encoding of the ``(row - r0, col - c0)``
+cells), plus the relative positions of attribute-tagged cores.
+Translation shifts every id by the same offset, so it preserves the
+induced subgraph, node order, sorted BFS neighbours and
+enumeration-index tie-breaks: a certificate, bound or score found for
+one translate holds for all of them, and stored vmaps are relative
+(``p - base``), translated back on a hit. The one catch is the zig-zag
+polish seed, which flips direction on odd rows, so polish keys also
+carry ``r0 % 2``. On any other chip the key degrades to the mask itself
+with base 0 through the same code path. Certificates are computed on a
+key miss only, from the neighbour masks: colour-refinement labels are
+interned per signature, so a signature seen before skips its hash, and
+the strings are byte-for-byte those of
+:meth:`~repro.arch.topology.Topology.wl_certificate`. ``Topology``
+objects are built only for Hungarian scoring, polish and VF2.
 
 **Sharing.** A standalone mapper owns a private :class:`ShapeMemos`.
 ``FleetScheduler`` hands one to every hypervisor built from an equal
@@ -86,11 +103,11 @@ equal chip topologies (a chip failure never edits one) and equal
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
-from repro.arch.topology import Topology
+from repro.arch.topology import MeshShape, Topology
 from repro.core.ged import (
     EditCosts,
     best_bijection,
@@ -125,6 +142,73 @@ class MappingResult:
         return self.distance == 0
 
 
+def _bits(mask: int) -> list[int]:
+    """Bit positions of ``mask``, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _neighbour_masks(topology: Topology) -> list[int]:
+    """Per node (in sorted order), the mask of its neighbours."""
+    index = {node: i for i, node in enumerate(topology.nodes)}
+    return [sum(1 << index[nbr] for nbr in topology._adj[node])
+            for node in topology.nodes]
+
+
+def _connected_masks(neighbours: list[int], free: int, k: int,
+                     limit: int | None) -> list[int]:
+    """ESU over the bits of ``free``: every connected ``k``-subset as a
+    mask, each exactly once.
+
+    Roots and extensions are taken lowest bit first, which is the order
+    of a sorted extension set. ``limit`` caps the result; enumeration
+    stops once reached.
+    """
+    if k < 1:
+        raise TopologyError(f"subset size must be >= 1, got {k}")
+    results: list[int] = []
+
+    def extend(subgraph: int, extension: int, closed: int, size: int,
+               above: int) -> bool:
+        # ``closed`` is the subgraph plus every chip neighbour of it, so
+        # ``above & ~closed`` is the ESU exclusive neighbourhood: free
+        # bits past the root, outside the subgraph and not adjacent to it.
+        if size + 1 == k:  # every extension closes a subset
+            while extension:
+                low = extension & -extension
+                extension ^= low
+                results.append(subgraph | low)
+                if limit is not None and len(results) >= limit:
+                    return True
+            return False
+        while extension:
+            low = extension & -extension
+            extension ^= low
+            around = neighbours[low.bit_length() - 1]
+            if extend(subgraph | low, extension | (around & above & ~closed),
+                      closed | around, size + 1, above):
+                return True
+        return False
+
+    rest = free
+    while rest:
+        root = rest & -rest
+        rest ^= root
+        if k == 1:
+            results.append(root)
+            if limit is not None and len(results) >= limit:
+                break
+            continue
+        around = neighbours[root.bit_length() - 1]
+        if extend(root, around & rest, root | around, 1, rest):
+            break
+    return results
+
+
 def enumerate_connected_subsets(topology: Topology, k: int,
                                 limit: int | None = None) -> list[frozenset[int]]:
     """All connected induced ``k``-subsets of ``topology`` (ESU algorithm).
@@ -132,44 +216,31 @@ def enumerate_connected_subsets(topology: Topology, k: int,
     Each subset is produced exactly once. ``limit`` caps the result for
     pathological sizes; enumeration stops once reached.
     """
-    if k < 1:
-        raise TopologyError(f"subset size must be >= 1, got {k}")
-    results: list[frozenset[int]] = []
-    adj = topology._adj
-
-    def extend(subgraph: set[int], extension: set[int], root: int) -> bool:
-        if len(subgraph) == k:
-            results.append(frozenset(subgraph))
-            return limit is not None and len(results) >= limit
-        candidates = sorted(extension)
-        for index, node in enumerate(candidates):
-            # ESU exclusive neighborhood: neighbors of `node` greater than
-            # root that are neither in the subgraph nor adjacent to it.
-            exclusive = {nbr for nbr in adj[node]
-                         if nbr > root and nbr not in subgraph
-                         and adj[nbr].isdisjoint(subgraph)}
-            if extend(subgraph | {node},
-                      exclusive.union(candidates[index + 1:]), root):
-                return True
-        return False
-
-    for root in topology.nodes:
-        extension = {nbr for nbr in adj[root] if nbr > root}
-        if extend({root}, extension, root):
-            break
-    return results
+    nodes = topology.nodes
+    masks = _connected_masks(_neighbour_masks(topology),
+                             (1 << len(nodes)) - 1, k, limit)
+    return [frozenset(nodes[i] for i in _bits(mask)) for mask in masks]
 
 
 class ShapeMemos:
     """The mapper memos of one chip type.
 
     Holds the ``map_similar`` results and the (free set, k) subset
-    enumerations, both keyed by free set, and the shape-keyed
+    enumerations, both keyed by free mask, and the shape-keyed
     certificate, lower-bound, Hungarian-score and polish memos (see the
     module docstring), each LRU-bounded by ``memo_size``. ``identity``
     is the chip's structural key and the edit costs, which a mapper must
     match to share the object.
+
+    It also holds the chip type's bitboards: ``bit`` (node -> its bit),
+    ``neighbours`` (bit -> neighbour mask) and, built on first use, the
+    mask of every coordinate rectangle. The WL label and certificate
+    interning tables are cleared wholesale once either outgrows
+    ``memo_size``.
     """
+
+    #: WL colour-refinement rounds, as ``Topology.wl_certificate``.
+    WL_ITERATIONS = 3
 
     def __init__(self, chip: Topology, memo_size: int,
                  identity: tuple) -> None:
@@ -181,38 +252,85 @@ class ShapeMemos:
         self.bounds: OrderedDict[tuple, float] = OrderedDict()
         self.scores: OrderedDict[tuple, tuple] = OrderedDict()
         self.polished: OrderedDict[tuple, tuple] = OrderedDict()
-        # Row-major width when shape keys are translation-canonical,
-        # else 0 (node-set keys).
-        self._cols = self._row_major_cols(chip)
+        self.nodes = chip.nodes
+        self.bit = {node: 1 << i for i, node in enumerate(self.nodes)}
+        self.full = (1 << len(self.nodes)) - 1
+        self.neighbours = _neighbour_masks(chip)
+        self._tags = [chip.attr(node) for node in self.nodes]
         self._attrs = dict(chip.node_attrs)
+        self._tagged = self.mask_of(self._attrs)
+        self._neighbour_bits = [[(1 << q, q) for q in _bits(around)]
+                                for around in self.neighbours]
+        #: WL interning: signature -> label id (``_wl_names`` holds each
+        #: id's label string), and sorted final label ids -> certificate.
+        self.wl_labels: dict[tuple, int] = {}
+        self._wl_names: list[str] = []
+        self.wl_certs: dict[tuple, str] = {}
+        # Grid rows and columns spanned by the coordinates (0 x 0 without).
+        self._extent = ((max(r for r, _ in chip.coords.values()) + 1,
+                         max(c for _, c in chip.coords.values()) + 1)
+                        if chip.coords else (0, 0))
+        # Row-major width when shape keys are translation-canonical,
+        # else 0 (mask keys).
+        self._cols = self._row_major_cols(chip, *self._extent)
+        self._columns = [self.mask_of(range(col, len(self.nodes), self._cols))
+                         for col in range(self._cols)]
+        # The coordinate grid the mesh slide walks: it runs only on a
+        # chip whose edges are exactly the unit steps between its
+        # (distinct) coordinates.
+        self._by_coord = {coord: node for node, coord in chip.coords.items()}
+        steps = {tuple(sorted((node, self._by_coord[(r + dr, c + dc)])))
+                 for node, (r, c) in chip.coords.items()
+                 for dr, dc in ((0, 1), (1, 0))
+                 if (r + dr, c + dc) in self._by_coord}
+        self.grid = (len(self._by_coord) == chip.node_count
+                     and steps == set(chip.edges))
+        self._rectangles: dict[tuple[int, int], list] = {}
+        self._rectangle_shapes: dict[int, MeshShape] | None = None
 
     @staticmethod
-    def _row_major_cols(chip: Topology) -> int:
+    def _row_major_cols(chip: Topology, rows: int, cols: int) -> int:
         """Column count of a chip that is exactly ``Topology.mesh2d``
         (row-major ids, grid-step edges), else 0."""
         if not chip.coords:
             return 0
-        rows = max(r for r, _ in chip.coords.values()) + 1
-        cols = max(c for _, c in chip.coords.values()) + 1
         grid = Topology.mesh2d(rows, cols)
         if chip.coords == grid.coords and chip.edges == grid.edges:
             return cols
         return 0
 
-    def shape(self, nodes: frozenset[int]) -> tuple[object, int]:
-        """``(key, base)`` of a candidate node set."""
+    def mask_of(self, nodes) -> int:
+        """The mask of ``nodes``; ids not on the chip are ignored."""
+        bit = self.bit
+        mask = 0
+        for node in nodes:
+            mask |= bit.get(node, 0)
+        return mask
+
+    def nodes_of(self, mask: int) -> list[int]:
+        """The sorted node ids of ``mask``."""
+        nodes = self.nodes
+        return [nodes[i] for i in _bits(mask)]
+
+    def shape(self, mask: int) -> tuple[object, int]:
+        """``(key, base)`` of a candidate mask."""
         cols = self._cols
         if not cols:
-            return nodes, 0
-        ordered = sorted(nodes)
-        base = ordered[0] // cols * cols + min(n % cols for n in ordered)
+            return mask, 0
+        low = (mask & -mask).bit_length() - 1
+        for first_col, column in enumerate(self._columns):
+            if mask & column:
+                break
+        base = low - low % cols + first_col
+        tagged = mask & self._tagged
         attrs = self._attrs
-        return ((tuple(n - base for n in ordered),
-                 tuple((n - base, attrs[n]) for n in ordered if n in attrs)),
+        return ((mask >> base,
+                 tuple((n - base, attrs[n]) for n in _bits(tagged))
+                 if tagged else ()),
                 base)
 
     def row_parity(self, base: int) -> int:
-        """``r0 % 2`` of a candidate's corner (0 for node-set keys)."""
+        """``r0 % 2`` of a candidate's corner (0 for mask keys)."""
         return base // self._cols % 2 if self._cols else 0
 
     def lookup(self, memo: OrderedDict, key, build):
@@ -227,21 +345,101 @@ class ShapeMemos:
             memo.popitem(last=False)
         return value
 
+    def certificate(self, mask: int) -> str:
+        """``Topology.wl_certificate()`` of the chip's induced subgraph
+        over ``mask``, refined on the neighbour masks.
+
+        Labels are interned as small ints: a signature (a label plus its
+        neighbours' labels, as a sorted multiset) is hashed the first
+        time it is seen only, and the certificate of a multiset of final
+        labels likewise. Hashes are taken over the same strings
+        ``wl_certificate`` builds, so the result is byte-for-byte equal.
+        """
+        positions = _bits(mask)
+        neighbour_bits = self._neighbour_bits
+        adjacency = [[q for bit, q in neighbour_bits[p] if mask & bit]
+                     for p in positions]
+        interned = self.wl_labels
+        names = self._wl_names
+        tags = self._tags
+        labels = [0] * len(self.nodes)  # bit position -> label id
+        for p, adj in zip(positions, adjacency):
+            signature = (len(adj), tags[p])
+            label = interned.get(signature)
+            if label is None:
+                label = interned[signature] = len(names)
+                names.append(f"{len(adj)}|{tags[p]}")
+            labels[p] = label
+        for _ in range(self.WL_ITERATIONS):
+            refined = labels[:]
+            for p, adj in zip(positions, adjacency):
+                own = labels[p]
+                signature = (own, *sorted([labels[q] for q in adj]))
+                label = interned.get(signature)
+                if label is None:
+                    text = (names[own] + "("
+                            + ",".join(sorted([names[labels[q]]
+                                               for q in adj])) + ")")
+                    label = interned[signature] = len(names)
+                    names.append(hashlib.blake2s(
+                        text.encode(), digest_size=8).hexdigest())
+                refined[p] = label
+            labels = refined
+        final = tuple(sorted([labels[p] for p in positions]))
+        certificate = self.wl_certs.get(final)
+        if certificate is None:
+            certificate = self.wl_certs[final] = hashlib.blake2s(
+                ",".join(sorted([names[label] for label in final])).encode(),
+                digest_size=16).hexdigest()
+        if (len(interned) > self.memo_size
+                or len(self.wl_certs) > self.memo_size):
+            interned.clear()
+            names.clear()
+            self.wl_certs.clear()
+        return certificate
+
+    def rectangles(self, height: int, width: int) -> list[tuple[int, tuple]]:
+        """Every ``height`` x ``width`` coordinate rectangle of the chip
+        whose cells all hold a core, as ``(mask, cells)`` with ``cells``
+        row-major, in corner-row then corner-column order."""
+        placed = self._rectangles.get((height, width))
+        if placed is None:
+            by_coord = self._by_coord
+            bit = self.bit
+            rows, cols = self._extent
+            placed = []
+            for base_row in range(rows - height + 1):
+                for base_col in range(cols - width + 1):
+                    cells = tuple(by_coord.get((base_row + r, base_col + c))
+                                  for r in range(height)
+                                  for c in range(width))
+                    if None not in cells:
+                        placed.append((sum(bit[n] for n in cells), cells))
+            self._rectangles[(height, width)] = placed
+        return placed
+
+    def rectangle_shape(self, mask: int) -> MeshShape | None:
+        """The ``MeshShape`` of the rectangle ``mask`` covers exactly,
+        or None when it covers none."""
+        if self._rectangle_shapes is None:
+            rows, cols = self._extent
+            self._rectangle_shapes = {
+                rect: MeshShape(height, width)
+                for height in range(1, rows + 1)
+                for width in range(1, cols + 1)
+                for rect, _ in self.rectangles(height, width)}
+        return self._rectangle_shapes.get(mask)
+
 
 @dataclass(slots=True)
 class _Candidate:
-    """One connected free subset, its shape key and (lazily) topology."""
+    """One connected free subset (a mask), its shape key and (lazily)
+    topology."""
 
-    nodes: frozenset[int]
+    mask: int
     shape: object
     base: int
     topology: Topology | None = None
-
-
-@lru_cache(maxsize=64)
-def _plain_mesh(rows: int, cols: int) -> Topology:
-    """A shared, read-only ``Topology.mesh2d(rows, cols)`` probe."""
-    return Topology.mesh2d(rows, cols)
 
 
 def _translated(mapping: dict[int, int], offset: int) -> dict[int, int]:
@@ -271,24 +469,6 @@ class TopologyMapper:
         #: Whether untagged request nodes substitute free, so an untagged
         #: mesh slid onto free cells is exact whatever their tags.
         self._untagged_free = self.costs.tag_price("") == 0.0
-        # Chip-level lookups hoisted out of _mesh_placements (they are
-        # pure functions of the chip): coordinate index, whether the
-        # edges are exactly the unit steps between coordinates, grid
-        # extents and the boustrophedon walk of the full chip.
-        self._by_coord = {coord: node
-                          for node, coord in chip_topology.coords.items()}
-        steps = {tuple(sorted((node, self._by_coord[(r + dr, c + dc)])))
-                 for node, (r, c) in chip_topology.coords.items()
-                 for dr, dc in ((0, 1), (1, 0))
-                 if (r + dr, c + dc) in self._by_coord}
-        self._chip_is_grid = (len(self._by_coord) == chip_topology.node_count
-                              and steps == set(chip_topology.edges))
-        if chip_topology.coords:
-            self._chip_rows = max(r for r, _ in chip_topology.coords.values()) + 1
-            self._chip_cols = max(c for _, c in chip_topology.coords.values()) + 1
-        else:
-            self._chip_rows = 0
-            self._chip_cols = 0
         self._chip_zigzag = self._zigzag_order(chip_topology)
         # Coordinates are required, not just mesh structure: without them
         # mesh_shape() falls back to isomorphism, which would misdetect a
@@ -315,10 +495,11 @@ class TopologyMapper:
         #: induced candidate (structural prices are positive, and
         #: untagged request nodes substitute free).
         self._rectangles_decide = bool(memos._cols) and self._untagged_free
-        # Free topologies of the last two allocated sets (see
-        # free_topology): the current occupancy plus one ad-hoc set, as
-        # resize and in-place migration pass.
-        self._free_memo: OrderedDict[frozenset[int], Topology] = OrderedDict()
+        # Free masks of the last two allocated sets (see free_topology):
+        # the current occupancy plus one ad-hoc set, as resize and
+        # in-place migration pass. Each entry is ``[mask, Topology or
+        # None]``; the topology is built on first request.
+        self._free_memo: OrderedDict[frozenset[int], list] = OrderedDict()
         # Operation counters (surfaced via cache_stats()).
         self.candidates_considered = 0
         self.candidates_pruned = 0
@@ -332,7 +513,7 @@ class TopologyMapper:
 
         The request's name is deliberately excluded (every tenant names its
         mesh differently); coordinates are included because
-        ``_mesh_placements`` slides the request by its grid layout, and
+        ``_mesh_placement`` slides the request by its grid layout, and
         node attributes because they price substitutions.
         """
         return (
@@ -357,35 +538,54 @@ class TopologyMapper:
         }
 
     # -- helpers ------------------------------------------------------------
+    def _free_entry(self, allocated: set[int] | frozenset[int]) -> list:
+        """The two-entry LRU behind ``free_topology`` (``free_rebuilds``
+        counts its misses). ``frozenset`` of a frozenset is the object
+        itself, and CPython caches its hash, so the hypervisor's
+        occupancy record hits by identity in O(1)."""
+        key = frozenset(allocated)
+        memo = self._free_memo
+        entry = memo.get(key)
+        if entry is not None:
+            memo.move_to_end(key)
+            return entry
+        self.free_rebuilds += 1
+        entry = [self.memos.full & ~self.memos.mask_of(key), None]
+        memo[key] = entry
+        if len(memo) > 2:
+            memo.popitem(last=False)
+        return entry
+
+    def _free_mask(self, allocated: set[int] | frozenset[int]) -> int:
+        """The mask of the cores not in ``allocated`` (memoized)."""
+        return self._free_entry(allocated)[0]
+
     def free_topology(self, allocated: set[int] | frozenset[int]) -> Topology:
         """The induced topology over the cores not in ``allocated``.
 
-        A pure function of ``allocated``, memoized in a two-entry LRU
-        keyed by ``frozenset(allocated)`` (``free_rebuilds`` counts the
-        misses). ``frozenset`` of a frozenset is the object itself, and
-        CPython caches its hash, so the hypervisor's occupancy record
-        hits by identity in O(1). The result is shared: treat it as
-        read-only.
+        A pure function of ``allocated``, built once per entry of the
+        free-mask LRU. The result is shared: treat it as read-only.
         """
-        key = frozenset(allocated)
-        memo = self._free_memo
-        free = memo.get(key)
-        if free is not None:
-            memo.move_to_end(key)
-            return free
-        self.free_rebuilds += 1
-        free = self.chip.subtopology(
-            [n for n in self.chip.nodes if n not in key], name="free")
-        memo[key] = free
-        if len(memo) > 2:
-            memo.popitem(last=False)
-        return free
+        entry = self._free_entry(allocated)
+        if entry[1] is None:
+            entry[1] = self.chip.subtopology(self.memos.nodes_of(entry[0]),
+                                             name="free")
+        return entry[1]
 
-    def _check_capacity(self, request: Topology, free: Topology) -> None:
-        if request.node_count > free.node_count:
+    def _taken(self, allocated: set[int] | frozenset[int]) -> int:
+        """The chip mask of ``allocated``, read from the free-mask LRU
+        when it holds the set (a peek: neither order nor counters move)."""
+        entry = self._free_memo.get(frozenset(allocated))
+        if entry is not None:
+            return self.memos.full ^ entry[0]
+        return self.memos.mask_of(allocated)
+
+    @staticmethod
+    def _check_capacity(request: Topology, free_count: int) -> None:
+        if request.node_count > free_count:
             raise AllocationError(
                 f"request needs {request.node_count} cores but only "
-                f"{free.node_count} are free"
+                f"{free_count} are free"
             )
 
     @staticmethod
@@ -435,100 +635,113 @@ class TopologyMapper:
             for index, node in enumerate(sorted(request.nodes))
         }
 
-    def _mesh_placements(self, request: Topology, free_nodes: set[int]):
-        """Yield exact vmaps by sliding the request mesh over free cells.
+    def _mesh_placement(self, request: Topology,
+                        free: int) -> dict[int, int] | None:
+        """The first exact vmap sliding the request mesh over free cells.
 
-        A slid placement is priced 0 without looking at tags or edges,
-        which is right only for an untagged request whose nodes
-        substitute free, on a chip whose edges are exactly its
-        coordinate grid; anything else yields nothing and takes the
-        certificate path.
+        Placements are tried in orientation (as given, then transposed),
+        corner-row, corner-column order, each one a precomputed rectangle
+        mask tested against the taken cores at once. A slid placement is
+        priced 0 without looking at tags or edges, which is right only
+        for an untagged request whose nodes substitute free, on a chip
+        whose edges are exactly its coordinate grid; anything else gets
+        None and takes the certificate path.
         """
-        if not self._untagged_free or any(request.node_attrs.values()):
-            return
+        memos = self.memos
+        if (not self._untagged_free or not memos.grid
+                or any(request.node_attrs.values())):
+            return None
         grid = self._request_grid(request)
-        if grid is None or not self._chip_is_grid:
-            return
-        by_coord = self._by_coord
-        chip_rows = self._chip_rows
-        chip_cols = self._chip_cols
+        if grid is None:
+            return None
+        taken = memos.full ^ free
         height = max(r for r, _ in grid.values()) + 1
         width = max(c for _, c in grid.values()) + 1
-        orientations = [(grid, height, width)]
+        for mask, cells in memos.rectangles(height, width):
+            if not mask & taken:
+                return {node: cells[r * width + c]
+                        for node, (r, c) in grid.items()}
         if height != width:
-            orientations.append(({n: (c, r) for n, (r, c) in grid.items()},
-                                 width, height))
-        for oriented, height, width in orientations:
-            for base_row in range(chip_rows - height + 1):
-                for base_col in range(chip_cols - width + 1):
-                    vmap = {}
-                    for node, (r, c) in oriented.items():
-                        physical = by_coord.get((base_row + r, base_col + c))
-                        if physical is None or physical not in free_nodes:
-                            vmap = None
-                            break
-                        vmap[node] = physical
-                    if vmap is not None:
-                        yield vmap
+            for mask, cells in memos.rectangles(width, height):
+                if not mask & taken:
+                    return {node: cells[c * height + r]
+                            for node, (r, c) in grid.items()}
+        return None
 
-    def _compact_sets(self, free: Topology, k: int) -> list[frozenset[int]]:
-        """Diverse connected k-regions: BFS balls grown from every free node."""
-        seen: set[frozenset[int]] = set()
-        subsets: list[frozenset[int]] = []
-        for seed in free.nodes:
-            ball = free.bfs_order(seed)[:k]
-            if len(ball) < k:
+    def _compact_sets(self, free: int, k: int) -> list[int]:
+        """Diverse connected k-regions: the first ``k`` cores of a BFS
+        (sorted neighbours) from every free core, deduplicated."""
+        neighbours = self.memos.neighbours
+        seen: set[int] = set()
+        subsets: list[int] = []
+        for seed in _bits(free):
+            ball = 1 << seed
+            count = 1
+            queue = [seed]
+            head = 0
+            while count < k and head < len(queue):
+                fresh = neighbours[queue[head]] & free & ~ball
+                head += 1
+                while fresh and count < k:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    ball |= low
+                    count += 1
+                    queue.append(low.bit_length() - 1)
+            if count < k or ball in seen:
                 continue
-            key = frozenset(ball)
-            if key in seen:
-                continue
-            seen.add(key)
-            subsets.append(key)
+            seen.add(ball)
+            subsets.append(ball)
         return subsets
 
-    def _candidate_sets(self, free: Topology, k: int) -> list[frozenset[int]]:
-        """Connected k-subsets of ``free`` (memoized per free set — churn
-        revisits the same fragmentation states)."""
+    def _candidate_sets(self, free: int, k: int) -> list[int]:
+        """Connected k-subsets of the free mask (memoized per free set —
+        churn revisits the same fragmentation states)."""
         def build():
             if k <= self.ESU_MAX_REQUEST:
-                return enumerate_connected_subsets(free, k,
-                                                   limit=self.CANDIDATE_LIMIT)
+                return _connected_masks(self.memos.neighbours, free, k,
+                                        self.CANDIDATE_LIMIT)
             return self._compact_sets(free, k)
         memos = self.memos
-        return memos.lookup(memos.subsets, (frozenset(free.nodes), k), build)
+        return memos.lookup(memos.subsets, (free, k), build)
 
     def _topology(self, candidate: _Candidate) -> Topology:
-        """The candidate's induced subtopology, built on first use.
-
-        A subset of the free cores induces the same subgraph from the
-        chip as from the free topology.
-        """
+        """The candidate's induced subtopology, built on first use."""
         if candidate.topology is None:
-            candidate.topology = self.chip.subtopology(candidate.nodes)
+            candidate.topology = self.chip.subtopology(
+                self.memos.nodes_of(candidate.mask))
         return candidate.topology
 
-    def _certified(self, free: Topology, subsets: list[frozenset[int]]):
-        """Yield ``(candidate, WL certificate)`` over ``subsets`` (connected
-        subsets of ``free``) in enumeration order.
-
-        Certificates are looked up by shape; a subtopology is built only
-        on a miss.
-        """
+    def _certified(self, subsets: list[int]):
+        """Yield ``(candidate, WL certificate)`` over ``subsets`` in
+        enumeration order; a certificate is computed on a shape miss
+        only, from the neighbour masks."""
         memos = self.memos
-        for nodes in subsets:
-            shape, base = memos.shape(nodes)
-            candidate = _Candidate(nodes, shape, base)
-            yield candidate, memos.lookup(
-                memos.certs, shape,
-                lambda: self._topology(candidate).wl_certificate())
+        certs = memos.certs
+        for mask in subsets:
+            shape, base = memos.shape(mask)
+            yield _Candidate(mask, shape, base), memos.lookup(
+                certs, shape, lambda: memos.certificate(mask))
+
+    def block_shape(self, cores) -> MeshShape | None:
+        """The ``MeshShape`` of the chip's induced subgraph over ``cores``
+        (None when it is not a full mesh): one lookup in the rectangle
+        table on a chip that is exactly ``Topology.mesh2d``, where a full
+        mesh is exactly a coordinate rectangle; ``mesh_shape()`` of the
+        subtopology elsewhere."""
+        memos = self.memos
+        if memos._cols:
+            return memos.rectangle_shape(memos.mask_of(cores))
+        return self.chip.subtopology(cores).mesh_shape()
 
     # -- strategies -----------------------------------------------------------
     def map_exact(self, request: Topology,
                   allocated: set[int] | None = None) -> MappingResult:
         """Exact-topology placement or TopologyLockIn."""
-        free = self.free_topology(allocated or set())
-        self._check_capacity(request, free)
-        for vmap in self._mesh_placements(request, set(free.nodes)):
+        free = self._free_mask(allocated or set())
+        self._check_capacity(request, free.bit_count())
+        vmap = self._mesh_placement(request, free)
+        if vmap is not None:
             return MappingResult(
                 strategy="exact", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
@@ -536,7 +749,7 @@ class TopologyMapper:
         request_cert = request.wl_certificate()
         subsets = self._candidate_sets(free, request.node_count)
         considered = len(subsets)
-        for candidate, cert in self._certified(free, subsets):
+        for candidate, cert in self._certified(subsets):
             if cert != request_cert:
                 continue
             mapping = self._isomorphism_mapping(request,
@@ -548,18 +761,19 @@ class TopologyMapper:
                 )
         raise TopologyLockIn(
             f"no exact placement for {request.name!r} "
-            f"({request.node_count} cores requested, {free.node_count} free) "
-            f"— the topology lock-in problem"
+            f"({request.node_count} cores requested, {free.bit_count()} "
+            f"free) — the topology lock-in problem"
         )
 
     def map_straightforward(self, request: Topology,
                             allocated: set[int] | None = None) -> MappingResult:
         """Zig-zag by core ID, ignoring the requested topology."""
-        free = self.free_topology(allocated or set())
-        self._check_capacity(request, free)
-        chosen = self._zigzag_within(free.nodes)[: request.node_count]
+        free = self._free_mask(allocated or set())
+        self._check_capacity(request, free.bit_count())
+        chosen = self._zigzag_within(
+            self.memos.nodes_of(free))[: request.node_count]
         vmap = dict(zip(sorted(request.nodes), chosen))
-        candidate = free.subtopology(chosen)
+        candidate = self.chip.subtopology(chosen)
         # Price the *naive* assignment itself — this strategy does not
         # optimize which virtual core lands on which physical core.
         distance = induced_edit_cost(request, candidate, dict(vmap), self.costs)
@@ -576,24 +790,25 @@ class TopologyMapper:
 
         Answers whether ``map_similar(Topology.mesh2d(rows, cols),
         allocated)`` would return distance 0 (an ``AllocationError``
-        counts as no) by sliding the mesh over the free cells, without
-        enumerating candidates. It decides only when ``rows`` and
-        ``cols`` are both at least 2 on a chip that is exactly
-        ``Topology.mesh2d`` under edit costs where untagged request nodes
-        substitute free, and returns ``None`` otherwise. There, distance
-        0 needs a free induced subgraph isomorphic to the request (every
-        structural price is positive), and an induced r x c grid
-        with r, c >= 2 in a grid graph is an axis-aligned rectangle:
-        its 4-cycles are unit squares, glued edge to edge. A 1 x k line
-        has no 4-cycle and can be exact as an L or a snake, so lines
-        stay undecided.
+        counts as no) by testing the rectangle masks of both
+        orientations against the taken cores, without enumerating
+        candidates. It decides only when ``rows`` and ``cols`` are both
+        at least 2 on a chip that is exactly ``Topology.mesh2d`` under
+        edit costs where untagged request nodes substitute free, and
+        returns ``None`` otherwise. There, distance 0 needs a free
+        induced subgraph isomorphic to the request (every structural
+        price is positive), and an induced r x c grid with r, c >= 2 in
+        a grid graph is an axis-aligned rectangle: its 4-cycles are unit
+        squares, glued edge to edge. A 1 x k line has no 4-cycle and can
+        be exact as an L or a snake, so lines stay undecided.
         """
         if rows < 2 or cols < 2 or not self._rectangles_decide:
             return None
-        free_nodes = set(self.chip.nodes).difference(allocated)
-        placements = self._mesh_placements(_plain_mesh(rows, cols),
-                                           free_nodes)
-        return next(placements, None) is not None
+        taken = self._taken(allocated)
+        memos = self.memos
+        return any(not mask & taken
+                   for dims in {(rows, cols), (cols, rows)}
+                   for mask, _ in memos.rectangles(*dims))
 
     def map_similar(self, request: Topology,
                     allocated: set[int] | None = None,
@@ -608,28 +823,30 @@ class TopologyMapper:
         fresh ``vmap``.
         """
         allocated = allocated or set()
-        free = self.free_topology(allocated)
-        self._check_capacity(request, free)
+        free = self._free_mask(allocated)
+        self._check_capacity(request, free.bit_count())
 
         def build() -> MappingResult:
             self.cache_misses += 1
-            return self._map_similar_uncached(request, free, allocated,
+            return self._map_similar_uncached(request, allocated,
                                               require_connected)
 
         misses = self.cache_misses
         memos = self.memos
         result = memos.lookup(
             memos.results,
-            (self._request_key(request), frozenset(free.nodes),
-             require_connected),
+            (self._request_key(request), free, require_connected),
             build)
         self.cache_hits += self.cache_misses == misses
         return replace(result, vmap=dict(result.vmap))
 
-    def _map_similar_uncached(self, request: Topology, free: Topology,
-                              allocated: set[int],
+    def _map_similar_uncached(self, request: Topology, allocated,
                               require_connected: bool) -> MappingResult:
-        for vmap in self._mesh_placements(request, set(free.nodes)):
+        """One Algorithm 1 run, without the results memo."""
+        free = self._free_mask(allocated)
+        self._check_capacity(request, free.bit_count())
+        vmap = self._mesh_placement(request, free)
+        if vmap is not None:
             return MappingResult(  # Algorithm 1 line 22: early exact return
                 strategy="similar", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
@@ -640,7 +857,7 @@ class TopologyMapper:
         considered = len(subsets)
         candidates: list[_Candidate] = []
         seen_certs: set[str] = set()
-        for candidate, cert in self._certified(free, subsets):
+        for candidate, cert in self._certified(subsets):
             if cert == request_cert:
                 mapping = self._isomorphism_mapping(
                     request, self._topology(candidate))
@@ -968,7 +1185,7 @@ class TopologyMapper:
                        allocated: set[int] | None = None) -> MappingResult:
         """Relaxed R-3: allow a disconnected placement (uses fragments)."""
         free = self.free_topology(allocated or set())
-        self._check_capacity(request, free)
+        self._check_capacity(request, free.node_count)
         chosen: list[int] = []
         remaining = set(free.nodes)
         # Greedily take the largest free fragments first, zig-zag inside.

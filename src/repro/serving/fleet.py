@@ -50,7 +50,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 from repro.arch.chip import Chip
 from repro.arch.config import SoCConfig, sim_config
@@ -446,15 +446,34 @@ class PlacementPolicy:
         raise NotImplementedError
 
 
+def _fitting(chips: "list[FleetChip]",
+             session: TenantSession) -> "list[tuple[int, FleetChip]]":
+    """``(free cores, chip)`` of the healthy chips with room for
+    ``session``, in chip order, reading each chip's free cores once."""
+    fits = []
+    for fleet_chip in chips:
+        if fleet_chip.healthy:
+            free = fleet_chip.free_cores()
+            if session.core_count <= free:
+                fits.append((free, fleet_chip))
+    return fits
+
+
+def _most_free_first(fits: "list[tuple[int, FleetChip]]"
+                     ) -> "list[FleetChip]":
+    """The chips of ``fits`` by most free cores, ties to the lower index."""
+    return [fleet_chip for _, _, fleet_chip in
+            sorted((-free, fleet_chip.index, fleet_chip)
+                   for free, fleet_chip in fits)]
+
+
 class LeastLoadedPlacement(PlacementPolicy):
     """Most free cores first — the load-balancing baseline."""
 
     name = "least_loaded"
 
     def rank(self, chips, session):
-        fits = [c for c in chips
-                if c.healthy and session.core_count <= c.free_cores()]
-        return sorted(fits, key=lambda c: (-c.free_cores(), c.index))
+        return _most_free_first(_fitting(chips, session))
 
 
 class BestFitPlacement(PlacementPolicy):
@@ -482,13 +501,10 @@ class BestFitPlacement(PlacementPolicy):
 
     def rank(self, chips, session):
         rows, cols = session.rows, session.cols
-        request = Topology.mesh2d(rows, cols, name="placement-probe")
-        fits = sorted(
-            (fleet_chip.free_cores() - session.core_count, fleet_chip.index,
-             fleet_chip)
-            for fleet_chip in chips
-            if fleet_chip.healthy
-            and session.core_count <= fleet_chip.free_cores())
+        request = _probe_request(rows, cols)
+        fits = sorted((free - session.core_count, fleet_chip.index,
+                       fleet_chip)
+                      for free, fleet_chip in _fitting(chips, session))
         scored = []
         deferred = []
         for leftover, index, fleet_chip in fits:
@@ -513,6 +529,12 @@ class BestFitPlacement(PlacementPolicy):
         scored.sort(key=lambda e: e[:3])
         for entry in scored:
             yield entry[-1]
+
+
+@lru_cache(maxsize=64)
+def _probe_request(rows: int, cols: int) -> Topology:
+    """A shared, read-only ``rows`` x ``cols`` mesh to probe chips with."""
+    return Topology.mesh2d(rows, cols, name="placement-probe")
 
 
 def _probe(request: Topology, hypervisor: Hypervisor) -> float | None:
@@ -540,13 +562,11 @@ class PowerOfTwoPlacement(PlacementPolicy):
         self.seed = seed
 
     def rank(self, chips, session):
-        fits = [c for c in chips
-                if c.healthy and session.core_count <= c.free_cores()]
+        fits = _fitting(chips, session)
         if len(fits) <= 2:
-            return sorted(fits, key=lambda c: (-c.free_cores(), c.index))
+            return _most_free_first(fits)
         rng = random.Random(self.seed * 1_000_003 + session.session_id)
-        pair = rng.sample(fits, 2)
-        return sorted(pair, key=lambda c: (-c.free_cores(), c.index))
+        return _most_free_first(rng.sample(fits, 2))
 
 
 _PLACEMENTS: Registry[PlacementPolicy] = Registry("placement policy",

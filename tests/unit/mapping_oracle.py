@@ -3,12 +3,15 @@
 :class:`ReferenceMapper` is the unoptimized implementation of the
 paper's Algorithm 1, kept as the oracle whose ``(distance, vmap)``
 results :class:`~repro.core.topology_mapping.TopologyMapper` must
-reproduce exactly. It overrides the mapper's few seams with the seed
-behaviour: a fresh free topology per call, no memos (not even the
-results memo, see :func:`map_similar_unmemoized`), a subtopology and
-certificate per candidate, the serial scalar Hungarian loop, and the
-full-recompute 2-opt over every polish seed with per-candidate
-Python-BFS hop tables.
+reproduce exactly. It runs the seed behaviour on its own set-based
+front end: a fresh free topology per call, no memos (not even the
+results memo, see :func:`map_similar_unmemoized`), the set-based ESU
+(:func:`reference_connected_subsets`), the coordinate-walk mesh slide
+(:func:`reference_mesh_placements`), a subtopology and
+``wl_certificate`` per candidate, the serial scalar Hungarian loop, and
+the full-recompute 2-opt over every polish seed with per-candidate
+Python-BFS hop tables. None of the production mapper's bitboards are on
+its path.
 
 The scalar loops behind that Hungarian loop live here too:
 :func:`scalar_best_bijection`, :func:`scalar_bipartite_ged` and
@@ -56,12 +59,8 @@ from scipy.optimize import linear_sum_assignment
 
 from repro.arch.topology import Topology
 from repro.core.ged import EPS, EditCosts, induced_edit_cost
-from repro.core.topology_mapping import (
-    TopologyMapper,
-    _Candidate,
-    enumerate_connected_subsets,
-)
-from repro.errors import AllocationError
+from repro.core.topology_mapping import MappingResult, TopologyMapper
+from repro.errors import AllocationError, TopologyError
 from repro.serving.workload import generate_fleet_trace
 
 
@@ -165,6 +164,103 @@ def all_pairs_hops(topology: Topology) -> dict[int, dict[int, int]]:
     return hops
 
 
+def reference_connected_subsets(topology: Topology, k: int,
+                                limit: int | None = None
+                                ) -> list[frozenset[int]]:
+    """All connected induced ``k``-subsets of ``topology``: the ESU
+    algorithm on Python sets, the oracle of the production mask ESU.
+
+    Each subset is produced exactly once. ``limit`` caps the result;
+    enumeration stops once reached.
+    """
+    if k < 1:
+        raise TopologyError(f"subset size must be >= 1, got {k}")
+    results: list[frozenset[int]] = []
+    adj = topology._adj
+
+    def extend(subgraph: set[int], extension: set[int], root: int) -> bool:
+        if len(subgraph) == k:
+            results.append(frozenset(subgraph))
+            return limit is not None and len(results) >= limit
+        candidates = sorted(extension)
+        for index, node in enumerate(candidates):
+            # ESU exclusive neighborhood: neighbors of `node` greater than
+            # root that are neither in the subgraph nor adjacent to it.
+            exclusive = {nbr for nbr in adj[node]
+                         if nbr > root and nbr not in subgraph
+                         and adj[nbr].isdisjoint(subgraph)}
+            if extend(subgraph | {node},
+                      exclusive.union(candidates[index + 1:]), root):
+                return True
+        return False
+
+    for root in topology.nodes:
+        extension = {nbr for nbr in adj[root] if nbr > root}
+        if extend({root}, extension, root):
+            break
+    return results
+
+
+def reference_compact_sets(free: Topology, k: int) -> list[frozenset[int]]:
+    """Diverse connected k-regions: BFS balls grown from every free node."""
+    seen: set[frozenset[int]] = set()
+    subsets: list[frozenset[int]] = []
+    for seed in free.nodes:
+        ball = free.bfs_order(seed)[:k]
+        if len(ball) < k:
+            continue
+        key = frozenset(ball)
+        if key in seen:
+            continue
+        seen.add(key)
+        subsets.append(key)
+    return subsets
+
+
+def reference_mesh_placements(mapper: TopologyMapper, request: Topology,
+                              free_nodes: set[int]):
+    """Yield exact vmaps by sliding the request mesh over free cells,
+    one coordinate lookup per cell (orientation, row, column order).
+
+    Like the production slide it yields nothing unless the request is
+    untagged, its untagged nodes substitute free and the chip's edges
+    are exactly its coordinate grid.
+    """
+    chip = mapper.chip
+    if not mapper._untagged_free or any(request.node_attrs.values()):
+        return
+    grid = mapper._request_grid(request)
+    by_coord = {coord: node for node, coord in chip.coords.items()}
+    steps = {tuple(sorted((node, by_coord[(r + dr, c + dc)])))
+             for node, (r, c) in chip.coords.items()
+             for dr, dc in ((0, 1), (1, 0))
+             if (r + dr, c + dc) in by_coord}
+    chip_is_grid = (len(by_coord) == chip.node_count
+                    and steps == set(chip.edges))
+    if grid is None or not chip_is_grid:
+        return
+    chip_rows = max(r for r, _ in chip.coords.values()) + 1
+    chip_cols = max(c for _, c in chip.coords.values()) + 1
+    height = max(r for r, _ in grid.values()) + 1
+    width = max(c for _, c in grid.values()) + 1
+    orientations = [(grid, height, width)]
+    if height != width:
+        orientations.append(({n: (c, r) for n, (r, c) in grid.items()},
+                             width, height))
+    for oriented, height, width in orientations:
+        for base_row in range(chip_rows - height + 1):
+            for base_col in range(chip_cols - width + 1):
+                vmap = {}
+                for node, (r, c) in oriented.items():
+                    physical = by_coord.get((base_row + r, base_col + c))
+                    if physical is None or physical not in free_nodes:
+                        vmap = None
+                        break
+                    vmap[node] = physical
+                if vmap is not None:
+                    yield vmap
+
+
 def map_similar_unmemoized(mapper: TopologyMapper, request: Topology,
                            allocated=None,
                            require_connected: bool = True):
@@ -174,10 +270,7 @@ def map_similar_unmemoized(mapper: TopologyMapper, request: Topology,
     lookup of a whole earlier result is skipped, and the hit and miss
     counters stay untouched.
     """
-    allocated = allocated or set()
-    free = mapper.free_topology(allocated)
-    mapper._check_capacity(request, free)
-    return mapper._map_similar_uncached(request, free, allocated,
+    return mapper._map_similar_uncached(request, allocated or set(),
                                         require_connected)
 
 
@@ -195,17 +288,48 @@ class ReferenceMapper(TopologyMapper):
         return self.chip.subtopology(
             [n for n in self.chip.nodes if n not in allocated], name="free")
 
-    def _candidate_sets(self, free, k):
+    def _map_similar_uncached(self, request, allocated, require_connected):
+        free = self.free_topology(allocated)
+        self._check_capacity(request, free.node_count)
+        for vmap in reference_mesh_placements(self, request,
+                                              set(free.nodes)):
+            return MappingResult(
+                strategy="similar", vmap=vmap, distance=0.0,
+                connected=True, candidates_considered=1,
+            )
+        request_cert = request.wl_certificate()
+        k = request.node_count
         if k <= self.ESU_MAX_REQUEST:
-            return enumerate_connected_subsets(free, k,
-                                               limit=self.CANDIDATE_LIMIT)
-        return self._compact_sets(free, k)
-
-    def _certified(self, free, subsets):
+            subsets = reference_connected_subsets(free, k,
+                                                  limit=self.CANDIDATE_LIMIT)
+        else:
+            subsets = reference_compact_sets(free, k)
+        candidates: list[Topology] = []
+        seen_certs: set[str] = set()
         for nodes in subsets:
             topology = free.subtopology(nodes)
-            yield (_Candidate(nodes, nodes, 0, topology),
-                   topology.wl_certificate())
+            cert = topology.wl_certificate()
+            if cert == request_cert:
+                mapping = self._isomorphism_mapping(request, topology)
+                if mapping is not None:
+                    return MappingResult(
+                        strategy="similar", vmap=mapping, distance=0.0,
+                        connected=True, candidates_considered=len(subsets),
+                    )
+            if cert in seen_certs:
+                continue
+            seen_certs.add(cert)
+            candidates.append(topology)
+        if not candidates:
+            if require_connected:
+                raise AllocationError(
+                    f"free cores hold no connected {k}-subset")
+            return self.map_fragmented(request, allocated)
+        distance, mapping = self._best_placement(request, candidates)
+        return MappingResult(
+            strategy="similar", vmap=mapping, distance=distance,
+            connected=True, candidates_considered=len(subsets),
+        )
 
     def _bijection(self, request, candidate):
         return scalar_best_bijection(request, candidate, self.costs)
@@ -213,9 +337,9 @@ class ReferenceMapper(TopologyMapper):
     def _best_placement(self, request, candidates):
         best: tuple[float, Topology, dict[int, int]] | None = None
         for candidate in candidates:  # Algorithm 1 lines 30-32, serially
-            distance, mapping = self._bijection(request, candidate.topology)
+            distance, mapping = self._bijection(request, candidate)
             if best is None or distance < best[0]:
-                best = (distance, candidate.topology, mapping)
+                best = (distance, candidate, mapping)
         _distance, topology, mapping = best
         return self._polish(request, topology, mapping)
 

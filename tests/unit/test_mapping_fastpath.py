@@ -561,8 +561,8 @@ class TestTranslateIdentity:
         rng.shuffle(order)
         chip = mesh.relabel(dict(zip(mesh.nodes, order)))
         fast = TopologyMapper(chip)
-        nodes = frozenset(chip.nodes[:3])
-        assert fast.memos.shape(nodes) == (nodes, 0)
+        mask = fast.memos.mask_of(chip.nodes[:3])
+        assert fast.memos.shape(mask) == (mask, 0)
         cells = polyomino(rng, 9)
         for request in TRANSLATE_REQUESTS:
             for offset in ((0, 0), (1, 1), (0, 1)):
