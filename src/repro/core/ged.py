@@ -144,30 +144,23 @@ def induced_edit_cost(t1: Topology, t2: Topology,
             total += costs.substitute(t1.attr(n1), t2.attr(n2))
     total += (t2.node_count - len(images)) * costs.node_insert
 
-    image_set = set(images)
     for u, v in t1.edges:
         mu, mv = mapping[u], mapping[v]
         if mu is EPS or mv is EPS or not t2.has_edge(mu, mv):
             total += costs.edge_price(u, v)
+    # The mapping is injective on mapped nodes (checked above), so it
+    # inverts in one pass.
+    preimage = {n2: n1 for n1, n2 in mapping.items() if n2 is not EPS}
     for a, b in t2.edges:
-        if a not in image_set or b not in image_set:
+        if a not in preimage or b not in preimage:
             total += costs.edge_insert
             continue
         # Both endpoints are images: the edge is matched only if its
         # preimage edge exists (already priced as a deletion otherwise —
         # an unmatched t2 edge between images is an insertion).
-        u = _preimage(mapping, a)
-        v = _preimage(mapping, b)
-        if not t1.has_edge(u, v):
+        if not t1.has_edge(preimage[a], preimage[b]):
             total += costs.edge_insert
     return total
-
-
-def _preimage(mapping: dict[int, int | None], image: int) -> int:
-    for source, target in mapping.items():
-        if target == image:
-            return source
-    raise TopologyError(f"no preimage for {image}")
 
 
 # ---------------------------------------------------------------------------

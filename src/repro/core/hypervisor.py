@@ -109,7 +109,7 @@ class Hypervisor:
         #: Bumped whenever ``allocated_cores`` changes.
         self.occupancy_version = 0
         #: Called with no arguments after every occupancy or health
-        #: change (the fleet refreshes its per-chip free-core gauge).
+        #: change (the fleet refreshes its per-chip gauges).
         self.on_change: Callable[[], None] | None = None
         self._next_vmid = 1
         self._healthy = True

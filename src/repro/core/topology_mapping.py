@@ -46,16 +46,23 @@ built for speed:
   built on a memo miss (the chip-level hop table is computed once and
   reused verbatim for convex mesh-block candidates, where the subgraph
   metric collapses to the chip metric);
-- *lower-bound screening* — candidates are visited cheapest
+- *one profile per request* — a request's WL certificate, mesh-slide
+  grid and the request side of the lower bound are computed once per
+  request structure and memoized in :class:`ShapeMemos`;
+- *lower-bound screening on masks* — candidates are visited cheapest
   :func:`~repro.core.ged.bijection_lower_bound` first and pruned once
   the bound exceeds the incumbent's exact score (``cache_stats`` exposes
-  the considered/pruned/refined counters);
-- *delta-evaluated 2-opt* — ``_polish`` re-prices only the terms a swap
-  can change (O(degree) per trial) instead of the full objective, with a
-  best-so-far early exit across refinement seeds. Every
-  :class:`~repro.core.ged.EditCosts` price is a multiple of 1/16, so the
-  deltas track the full objective bit for bit and accept/reject
-  decisions — and hence results — never drift;
+  the considered/pruned/refined counters). The bound is read off the
+  neighbour masks (degrees are popcounts, tag counts are masks) and the
+  request profile, bit-identical to the ``Topology`` form;
+- *one-pass 2-opt in integer sixteenths* — ``_polish`` builds int
+  tables once (substitution prices, per-price edge rows that fold the
+  hop stretch and the deletion price together, adjacency masks) and
+  prices each trial swap in one pass over the O(degree) terms it can
+  change, without touching the mapping. Every
+  :class:`~repro.core.ged.EditCosts` price is a multiple of 1/16 and the
+  stretch weight is 1/2, so integer sixteenths are exact: accept and
+  reject decisions — and hence results — never drift;
 - *numpy-vectorized inner loops* — Hungarian reward matrices and
   admissible lower bounds are built with broadcasting
   (:func:`~repro.core.ged._pair_cost_block`, bit-identical to the scalar
@@ -88,7 +95,8 @@ key miss only, from the neighbour masks: colour-refinement labels are
 interned per signature, so a signature seen before skips its hash, and
 the strings are byte-for-byte those of
 :meth:`~repro.arch.topology.Topology.wl_certificate`. ``Topology``
-objects are built only for Hungarian scoring, polish and VF2.
+objects are built only for Hungarian scoring, polish and VF2; bounds
+are priced on the masks.
 
 **Sharing.** A standalone mapper owns a private :class:`ShapeMemos`.
 ``FleetScheduler`` hands one to every hypervisor built from an equal
@@ -104,14 +112,13 @@ equal chip topologies (a chip failure never edits one) and equal
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.arch.topology import MeshShape, Topology
 from repro.core.ged import (
     EditCosts,
     best_bijection,
-    bijection_lower_bound,
     induced_edit_cost,
 )
 from repro.errors import AllocationError, TopologyError, TopologyLockIn
@@ -226,17 +233,19 @@ class ShapeMemos:
     """The mapper memos of one chip type.
 
     Holds the ``map_similar`` results and the (free set, k) subset
-    enumerations, both keyed by free mask, and the shape-keyed
-    certificate, lower-bound, Hungarian-score and polish memos (see the
-    module docstring), each LRU-bounded by ``memo_size``. ``identity``
-    is the chip's structural key and the edit costs, which a mapper must
-    match to share the object.
+    enumerations, both keyed by free mask, the request profiles keyed
+    by request structure, and the shape-keyed certificate, lower-bound,
+    Hungarian-score and polish memos (see the module docstring), each
+    LRU-bounded by ``memo_size``. ``identity`` is the chip's structural
+    key and the edit costs, which a mapper must match to share the
+    object.
 
     It also holds the chip type's bitboards: ``bit`` (node -> its bit),
-    ``neighbours`` (bit -> neighbour mask) and, built on first use, the
-    mask of every coordinate rectangle. The WL label and certificate
-    interning tables are cleared wholesale once either outgrows
-    ``memo_size``.
+    ``neighbours`` (bit -> neighbour mask), ``tag_masks`` (tag -> mask
+    of the cores carrying it, ``""`` for untagged) and, built on first
+    use, the mask of every coordinate rectangle. The WL label and
+    certificate interning tables are cleared wholesale once either
+    outgrows ``memo_size``.
     """
 
     #: WL colour-refinement rounds, as ``Topology.wl_certificate``.
@@ -248,6 +257,7 @@ class ShapeMemos:
         self.identity = identity
         self.results: OrderedDict[tuple, MappingResult] = OrderedDict()
         self.subsets: OrderedDict[tuple, list] = OrderedDict()
+        self.requests: OrderedDict[tuple, _RequestProfile] = OrderedDict()
         self.certs: OrderedDict = OrderedDict()
         self.bounds: OrderedDict[tuple, float] = OrderedDict()
         self.scores: OrderedDict[tuple, tuple] = OrderedDict()
@@ -257,6 +267,9 @@ class ShapeMemos:
         self.full = (1 << len(self.nodes)) - 1
         self.neighbours = _neighbour_masks(chip)
         self._tags = [chip.attr(node) for node in self.nodes]
+        self.tag_masks: dict[str, int] = {}
+        for i, tag in enumerate(self._tags):
+            self.tag_masks[tag] = self.tag_masks.get(tag, 0) | 1 << i
         self._attrs = dict(chip.node_attrs)
         self._tagged = self.mask_of(self._attrs)
         self._neighbour_bits = [[(1 << q, q) for q in _bits(around)]
@@ -431,6 +444,63 @@ class ShapeMemos:
         return self._rectangle_shapes.get(mask)
 
 
+@dataclass(frozen=True, slots=True)
+class _RequestProfile:
+    """What the mapper reads of one request structure, computed once
+    per ``_request_key`` and memoized in ``ShapeMemos.requests``."""
+
+    key: tuple
+    #: ``request.wl_certificate()``.
+    certificate: str
+    #: ``(grid, height, width)`` of the mesh slide: virtual node ->
+    #: (row, col) for an untagged mesh request on a mapper that slides,
+    #: else None.
+    slide: tuple[dict[int, tuple[int, int]], int, int] | None
+    #: The request side of ``bijection_lower_bound``: sorted degrees,
+    #: edge count, ``(tag, count, mismatch price)`` in first-seen node
+    #: order, and the cheapest edge-deletion price (0 without edges).
+    degrees: tuple[int, ...]
+    edges: int
+    tags: tuple[tuple[str, int, float], ...]
+    cheapest_delete: float
+
+
+def _sixteenths(price: float) -> int:
+    """A validated price (a multiple of 1/16) as an exact int count of
+    sixteenths."""
+    return int(16 * price)
+
+
+@dataclass(frozen=True, slots=True)
+class _RefineTables:
+    """One polish's 2-opt prices over int positions, in sixteenths.
+
+    Request nodes are positions ``a`` in ``request.nodes`` order and
+    candidate nodes positions ``A`` in ``candidate.nodes`` order. Built
+    once per polish miss and shared by its refinement seeds.
+    """
+
+    request_nodes: list[int]
+    candidate_nodes: list[int]
+    request_index: dict[int, int]
+    candidate_index: dict[int, int]
+    #: ``sub[a][A]``: price of placing ``a`` on ``A``.
+    sub: list[list[int]]
+    #: Per request edge, ``(a, v, rows)``; ``rows[A][X]`` prices the edge
+    #: on images ``(A, X)``: its stretch (``STRETCH_WEIGHT`` times the
+    #: extra hops) plus its deletion price when ``A`` and ``X`` are not
+    #: adjacent. Edges of one deletion price share one ``rows``.
+    edges: list[tuple[int, int, list[list[int]]]]
+    #: ``incident[a]``: ``(v, rows)`` of every request edge at ``a``.
+    incident: list[list[tuple[int, list[list[int]]]]]
+    #: ``request_adjacent[a]``: mask of ``a``'s request neighbours.
+    request_adjacent: list[int]
+    #: ``candidate_adjacent[A]``: ``A``'s candidate neighbours.
+    candidate_adjacent: list[list[int]]
+    #: Price of one inserted candidate edge.
+    insert: int
+
+
 @dataclass(slots=True)
 class _Candidate:
     """One connected free subset (a mask), its shape key and (lazily)
@@ -580,6 +650,32 @@ class TopologyMapper:
             return self.memos.full ^ entry[0]
         return self.memos.mask_of(allocated)
 
+    def free_fragmentation(self, allocated: set[int] | frozenset[int]
+                           ) -> float:
+        """``1 - largest free fragment / free cores`` (0 with none free):
+        :func:`repro.serving.metrics.fragmentation_ratio` of the chip and
+        ``allocated``, over the same ints, by flood fill on the
+        neighbour masks. Reads the free-mask LRU as ``_taken`` does,
+        without moving it or its counters."""
+        memos = self.memos
+        free = memos.full ^ self._taken(allocated)
+        if not free:
+            return 0.0
+        neighbours = memos.neighbours
+        largest = 0
+        rest = free
+        while rest:
+            component = frontier = rest & -rest
+            while frontier:
+                grown = 0
+                for p in _bits(frontier):
+                    grown |= neighbours[p]
+                frontier = grown & rest & ~component
+                component |= frontier
+            rest ^= component
+            largest = max(largest, component.bit_count())
+        return 1.0 - largest / free.bit_count()
+
     @staticmethod
     def _check_capacity(request: Topology, free_count: int) -> None:
         if request.node_count > free_count:
@@ -635,28 +731,59 @@ class TopologyMapper:
             for index, node in enumerate(sorted(request.nodes))
         }
 
-    def _mesh_placement(self, request: Topology,
+    def _profile(self, request: Topology) -> _RequestProfile:
+        """The request's profile, memoized per request structure."""
+        key = self._request_key(request)
+        memos = self.memos
+        return memos.lookup(memos.requests, key,
+                            lambda: self._build_profile(request, key))
+
+    def _build_profile(self, request: Topology,
+                       key: tuple) -> _RequestProfile:
+        costs = self.costs
+        slide = None
+        # A slid placement is priced 0 without looking at tags or edges,
+        # which is right only for an untagged request whose nodes
+        # substitute free, on a chip whose edges are exactly its
+        # coordinate grid.
+        if (self._untagged_free and self.memos.grid
+                and not any(request.node_attrs.values())):
+            grid = self._request_grid(request)
+            if grid is not None:
+                slide = (grid, max(r for r, _ in grid.values()) + 1,
+                         max(c for _, c in grid.values()) + 1)
+        listed = [price for (u, v), price in costs.edge_delete_at
+                  if request.has_edge(u, v)]
+        if len(listed) < request.edge_count:
+            listed.append(costs.edge_delete)
+        tags = Counter(request.attr(node) for node in request.nodes)
+        return _RequestProfile(
+            key=key,
+            certificate=request.wl_certificate(),
+            slide=slide,
+            degrees=tuple(sorted(request.degree(node)
+                                 for node in request.nodes)),
+            edges=request.edge_count,
+            tags=tuple((tag, count, costs.tag_price(tag))
+                       for tag, count in tags.items()),
+            cheapest_delete=min(listed) if listed else 0.0,
+        )
+
+    def _mesh_placement(self, profile: _RequestProfile,
                         free: int) -> dict[int, int] | None:
         """The first exact vmap sliding the request mesh over free cells.
 
         Placements are tried in orientation (as given, then transposed),
         corner-row, corner-column order, each one a precomputed rectangle
-        mask tested against the taken cores at once. A slid placement is
-        priced 0 without looking at tags or edges, which is right only
-        for an untagged request whose nodes substitute free, on a chip
-        whose edges are exactly its coordinate grid; anything else gets
-        None and takes the certificate path.
+        mask tested against the taken cores at once. A request the
+        profile gives no slide grid gets None and takes the certificate
+        path.
         """
+        if profile.slide is None:
+            return None
         memos = self.memos
-        if (not self._untagged_free or not memos.grid
-                or any(request.node_attrs.values())):
-            return None
-        grid = self._request_grid(request)
-        if grid is None:
-            return None
+        grid, height, width = profile.slide
         taken = memos.full ^ free
-        height = max(r for r, _ in grid.values()) + 1
-        width = max(c for _, c in grid.values()) + 1
         for mask, cells in memos.rectangles(height, width):
             if not mask & taken:
                 return {node: cells[r * width + c]
@@ -740,17 +867,17 @@ class TopologyMapper:
         """Exact-topology placement or TopologyLockIn."""
         free = self._free_mask(allocated or set())
         self._check_capacity(request, free.bit_count())
-        vmap = self._mesh_placement(request, free)
+        profile = self._profile(request)
+        vmap = self._mesh_placement(profile, free)
         if vmap is not None:
             return MappingResult(
                 strategy="exact", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
             )
-        request_cert = request.wl_certificate()
         subsets = self._candidate_sets(free, request.node_count)
         considered = len(subsets)
         for candidate, cert in self._certified(subsets):
-            if cert != request_cert:
+            if cert != profile.certificate:
                 continue
             mapping = self._isomorphism_mapping(request,
                                                 self._topology(candidate))
@@ -845,20 +972,20 @@ class TopologyMapper:
         """One Algorithm 1 run, without the results memo."""
         free = self._free_mask(allocated)
         self._check_capacity(request, free.bit_count())
-        vmap = self._mesh_placement(request, free)
+        profile = self._profile(request)
+        vmap = self._mesh_placement(profile, free)
         if vmap is not None:
             return MappingResult(  # Algorithm 1 line 22: early exact return
                 strategy="similar", vmap=vmap, distance=0.0,
                 connected=True, candidates_considered=1,
             )
 
-        request_cert = request.wl_certificate()
         subsets = self._candidate_sets(free, request.node_count)
         considered = len(subsets)
         candidates: list[_Candidate] = []
         seen_certs: set[str] = set()
         for candidate, cert in self._certified(subsets):
-            if cert == request_cert:
+            if cert == profile.certificate:
                 mapping = self._isomorphism_mapping(
                     request, self._topology(candidate))
                 if mapping is not None:  # Algorithm 1 line 22: early return
@@ -878,25 +1005,25 @@ class TopologyMapper:
                 )
             return self.map_fragmented(request, allocated)
 
-        distance, mapping = self._best_placement(request, candidates)
+        distance, mapping = self._best_placement(request, profile,
+                                                 candidates)
         return MappingResult(
             strategy="similar", vmap=mapping, distance=distance,
             connected=True, candidates_considered=considered,
         )
 
-    def _best_placement(self, request: Topology,
+    def _best_placement(self, request: Topology, profile: _RequestProfile,
                         candidates: list[_Candidate]
                         ) -> tuple[float, dict[int, int]]:
         """R-2 argmin over deduplicated candidates (Algorithm 1 lines
         30-32), then the 2-opt polish, memoized per shape."""
-        request_key = self._request_key(request)
-        candidate, seed = self._select_screened(request_key, request,
+        candidate, seed = self._select_screened(request, profile,
                                                 candidates)
         base = candidate.base
         memos = self.memos
         distance, polished = memos.lookup(
             memos.polished,
-            (request_key, candidate.shape, memos.row_parity(base)),
+            (profile.key, candidate.shape, memos.row_parity(base)),
             lambda: self._relative(self._polish(
                 request, self._topology(candidate), seed), base))
         return distance, _translated(polished, base)
@@ -918,7 +1045,7 @@ class TopologyMapper:
                 request, self._topology(candidate)), candidate.base))
         return distance, _translated(mapping, candidate.base)
 
-    def _select_screened(self, request_key: tuple, request: Topology,
+    def _select_screened(self, request: Topology, profile: _RequestProfile,
                          candidates: list[_Candidate]
                          ) -> tuple[_Candidate, dict[int, int]]:
         """R-2 argmin with admissible lower-bound pruning.
@@ -928,15 +1055,16 @@ class TopologyMapper:
         exceeds the incumbent's *exact* Hungarian score, no remaining
         candidate can win and the tail is pruned unscored. Selection is
         therefore identical to the reference loop — including which of
-        several equal-distance candidates wins.
+        several equal-distance candidates wins. Bounds are priced on the
+        masks, so a pruned candidate never builds its ``Topology``.
         """
         self.candidates_considered += len(candidates)
         memos = self.memos
+        request_key = profile.key
         bounds = [
             memos.lookup(
                 memos.bounds, (request_key, candidate.shape),
-                lambda candidate=candidate: bijection_lower_bound(
-                    request, self._topology(candidate), self.costs))
+                lambda mask=candidate.mask: self._mask_bound(profile, mask))
             for candidate in candidates
         ]
         order = sorted(range(len(candidates)), key=lambda i: (bounds[i], i))
@@ -951,6 +1079,28 @@ class TopologyMapper:
             if best is None or (distance, index) < best[:2]:
                 best = (distance, index, mapping)
         return candidates[best[1]], best[2]
+
+    def _mask_bound(self, profile: _RequestProfile, mask: int) -> float:
+        """``bijection_lower_bound(request, chip.subtopology(nodes),
+        costs)`` of the candidate ``mask``, bit for bit: candidate
+        degrees are popcounts of the neighbour masks within ``mask``, tag
+        counts are popcounts of the tag masks, the request side comes
+        from the profile, and every sum is formed in the same order."""
+        memos = self.memos
+        neighbours = memos.neighbours
+        degrees = sorted([(neighbours[p] & mask).bit_count()
+                          for p in _bits(mask)])
+        tag_masks = memos.tag_masks
+        node_term = float(sum(
+            price * max(0, count - (mask & tag_masks.get(tag, 0)).bit_count())
+            for tag, count, price in profile.tags))
+        matchable = sum(map(min, profile.degrees, degrees)) // 2
+        deletions = max(0, profile.edges - matchable)
+        insertions = max(0, sum(degrees) // 2 - matchable)
+        edge_term = insertions * self.costs.edge_insert
+        if deletions:
+            edge_term += deletions * profile.cheapest_delete
+        return node_term + edge_term
 
     def _bijection(self, request: Topology,
                    candidate: Topology) -> tuple[float, dict[int, int]]:
@@ -985,11 +1135,13 @@ class TopologyMapper:
                 hungarian_seed: dict[int, int]) -> tuple[float, dict[int, int]]:
         """2-opt refinement from every polish seed; the best one wins.
 
-        Duplicate seeds are skipped, swaps are evaluated incrementally
-        and the loop stops once a refinement reaches objective zero
-        (nothing can beat an exact, stretch-free mapping).
+        The refinement tables are built once and shared by the seeds,
+        duplicate seeds are skipped, and the loop stops once a
+        refinement reaches objective zero (nothing can beat an exact,
+        stretch-free mapping).
         """
-        hop = self._candidate_hops(candidate)
+        tables = self._refine_tables(request, candidate,
+                                     self._candidate_hops(candidate))
         best: tuple[float, dict[int, int]] | None = None
         seen: set[tuple] = set()
         for seed in self._polish_seeds(request, candidate, hungarian_seed):
@@ -997,7 +1149,7 @@ class TopologyMapper:
             if key in seen:
                 continue
             seen.add(key)
-            outcome = self._refine_delta(request, candidate, seed, hop)
+            outcome = self._refine_delta(tables, seed)
             if best is None or outcome[0] < best[0]:
                 best = outcome
             if best[0] <= 1e-12:
@@ -1040,9 +1192,8 @@ class TopologyMapper:
             dist[frontier] = level
             reached |= frontier
         return {
-            u: {nodes[j]: int(dist[i, j])
-                for j in np.flatnonzero(dist[i] >= 0)}
-            for i, u in enumerate(nodes)
+            u: {nodes[j]: hops for j, hops in enumerate(row) if hops >= 0}
+            for u, row in zip(nodes, dist.tolist())
         }
 
     @property
@@ -1071,115 +1222,161 @@ class TopologyMapper:
     #: physical fabric) relative to one edit operation. This realizes the
     #: paper's customizable EdgeMatch: an edge mapped 3 hops apart is worse
     #: than one mapped 2 hops apart, even though plain GED prices both as
-    #: a single deletion.
+    #: a single deletion. A multiple of 1/16, as every edit price.
     STRETCH_WEIGHT = 0.5
 
-    def _stretch_objective(self, request: Topology, candidate: Topology,
-                           mapping: dict[int, int],
-                           hop: dict[int, dict[int, int]]) -> float:
-        self.objective_evaluations += 1
-        cost = induced_edit_cost(request, candidate, dict(mapping),
-                                 self.costs)
-        stretch = sum(
-            hop[mapping[u]].get(mapping[v], request.node_count) - 1
-            for u, v in request.edges
-        )
-        return cost + self.STRETCH_WEIGHT * stretch
+    def _refine_tables(self, request: Topology, candidate: Topology,
+                       hop: dict[int, dict[int, int]]) -> _RefineTables:
+        """The int tables of one polish (see :class:`_RefineTables`).
 
-    def _refine_delta(self, request: Topology, candidate: Topology,
-                      seed: dict[int, int],
-                      hop: dict[int, dict[int, int]],
-                      max_passes: int = 6) -> tuple[float, dict[int, int]]:
-        """2-opt on edit-cost + stretch with O(degree) swap deltas.
-
-        Each trial swap re-prices only what it can change — the two node
-        substitutions, the edges incident to the swapped request nodes
-        (and their images), and the stretch of those same edges — instead
-        of recomputing the full objective. Every edit price is a multiple
-        of 1/16 and the stretch weight is 1/2, so the incremental
-        objective tracks the full recomputation bit-for-bit and the
-        accept/reject sequence (hence the refined mapping) is identical
-        to the full-recompute refine the tests keep as the oracle.
+        ``hop`` is the candidate's all-pairs hop table; a pair it lacks
+        (unreachable) counts ``request.node_count`` hops.
         """
         costs = self.costs
-        edge_insert = costs.edge_insert
-        weight = self.STRETCH_WEIGHT
-        mapping = dict(seed)
-        inverse = {p: v for v, p in mapping.items()}
-        nodes = request.nodes
+        request_nodes = request.nodes
+        candidate_nodes = candidate.nodes
+        request_index = {v: a for a, v in enumerate(request_nodes)}
+        candidate_index = {p: i for i, p in enumerate(candidate_nodes)}
         fallback = request.node_count
-        # Flatten everything a swap trial touches into dict lookups:
-        # adjacency sets, node attributes and mismatch prices, and
-        # per-edge deletion prices (constant during refinement) in both
-        # orientations.
-        req_adj = {n: request._adj[n] for n in nodes}
-        cand_adj = {p: candidate._adj[p] for p in candidate.nodes}
-        req_attr = {n: request.attr(n) for n in nodes}
-        req_price = {n: costs.tag_price(req_attr[n]) for n in nodes}
-        cand_attr = {p: candidate.attr(p) for p in candidate.nodes}
-        del_cost: dict[tuple[int, int], float] = {}
+        weight = _sixteenths(self.STRETCH_WEIGHT)
+        candidate_tags = [candidate.attr(p) for p in candidate_nodes]
+        sub = []
+        for v in request_nodes:
+            tag = request.attr(v)
+            price = _sixteenths(costs.tag_price(tag))
+            sub.append([0 if tag == other else price
+                        for other in candidate_tags])
+        stretch = [[weight * (hop[p].get(q, fallback) - 1)
+                    for q in candidate_nodes] for p in candidate_nodes]
+        candidate_adjacent = [[candidate_index[q] for q in candidate._adj[p]]
+                              for p in candidate_nodes]
+        by_price: dict[int, list[list[int]]] = {}
+
+        def rows_of(price: int) -> list[list[int]]:
+            rows = by_price.get(price)
+            if rows is None:
+                rows = by_price[price] = [
+                    [gap + price for gap in row] for row in stretch]
+                for row, adjacent in zip(rows, candidate_adjacent):
+                    for x in adjacent:
+                        row[x] -= price
+            return rows
+
+        edges = []
+        incident: list[list] = [[] for _ in request_nodes]
         for u, v in request.edges:
-            price = costs.edge_price(u, v)
-            del_cost[(u, v)] = price
-            del_cost[(v, u)] = price
-        current = self._stretch_objective(request, candidate, mapping, hop)
+            a, b = request_index[u], request_index[v]
+            rows = rows_of(_sixteenths(costs.edge_price(u, v)))
+            edges.append((a, b, rows))
+            incident[a].append((b, rows))
+            incident[b].append((a, rows))
+        return _RefineTables(
+            request_nodes=request_nodes,
+            candidate_nodes=candidate_nodes,
+            request_index=request_index,
+            candidate_index=candidate_index,
+            sub=sub,
+            edges=edges,
+            incident=incident,
+            request_adjacent=[sum(1 << b for b, _ in around)
+                              for around in incident],
+            candidate_adjacent=candidate_adjacent,
+            insert=_sixteenths(costs.edge_insert),
+        )
 
-        def local(a: int, b: int) -> float:
-            # Everything the (a, b) swap can change: the two node
-            # substitutions, request edges incident to a or b (deletions
-            # + stretch) and candidate edges incident to their images
-            # (insertions). Each shared edge is counted once, matching
-            # the full objective's edge iteration.
-            image_a, image_b = mapping[a], mapping[b]
-            total = ((0.0 if req_attr[a] == cand_attr[image_a]
-                      else req_price[a])
-                     + (0.0 if req_attr[b] == cand_attr[image_b]
-                        else req_price[b]))
-            stretch = 0
-            hop_a = hop[image_a]
-            for v in req_adj[a]:
-                image_v = mapping[v]
-                stretch += hop_a.get(image_v, fallback) - 1
-                if image_v not in cand_adj[image_a]:
-                    total += del_cost[(a, v)]
-            hop_b = hop[image_b]
-            for v in req_adj[b]:
-                if v == a:
-                    continue
-                image_v = mapping[v]
-                stretch += hop_b.get(image_v, fallback) - 1
-                if image_v not in cand_adj[image_b]:
-                    total += del_cost[(b, v)]
-            adj_a = req_adj[inverse[image_a]]
-            for q in cand_adj[image_a]:
-                if inverse[q] not in adj_a:
-                    total += edge_insert
-            adj_b = req_adj[inverse[image_b]]
-            for q in cand_adj[image_b]:
-                if q == image_a:
-                    continue
-                if inverse[q] not in adj_b:
-                    total += edge_insert
-            return total + weight * stretch
+    def _refine_delta(self, tables: _RefineTables, seed: dict[int, int],
+                      max_passes: int = 6) -> tuple[float, dict[int, int]]:
+        """2-opt on edit cost + stretch, each trial swap priced in one pass.
 
+        The objective is the induced edit cost of the mapping plus
+        ``STRETCH_WEIGHT`` times the extra hops of every request edge.
+        Swaps are tried in request-node order (first improvement, at
+        most ``max_passes`` passes, stopping early at objective 0). A
+        trial of ``(a, b)`` sums, without touching the mapping, the
+        change of the terms it can move: the two substitutions, the
+        request edges at ``a`` or ``b`` (one ``rows`` lookup each, edge
+        ``(a, b)`` itself cannot change) and the candidate edges at
+        their images, counted as popcounts of ``pre`` (per candidate
+        position, the mask of its neighbours' preimages) against the
+        request adjacency masks. A swap is accepted when that delta is
+        negative.
+
+        Every price is an exact int of sixteenths, so the delta is the
+        full objective's change exactly, and ``delta < 0`` is the accept
+        test of the full-recompute refine the tests keep as the oracle
+        (``after + 1e-12 < before`` over multiples of 1/16): the accept
+        sequence, the refined mapping and the returned objective are
+        identical. ``objective_evaluations`` counts the start objective
+        and every trial, as the oracle does.
+        """
+        n = len(tables.request_nodes)
+        index = tables.candidate_index
+        m = [index[seed[v]] for v in tables.request_nodes]
+        inv = [0] * n
+        for a, image in enumerate(m):
+            inv[image] = a
+        sub = tables.sub
+        incident = tables.incident
+        adjacent = tables.request_adjacent
+        candidate_adjacent = tables.candidate_adjacent
+        insert = tables.insert
+        pre = [sum(1 << inv[q] for q in around)
+               for around in candidate_adjacent]
+        current = sum(sub[a][image] for a, image in enumerate(m))
+        for a, b, rows in tables.edges:
+            current += rows[m[a]][m[b]]
+        # Inserted candidate edges: those whose preimages are not
+        # request neighbours, each seen from both ends.
+        current += insert * (sum(
+            (pre[x] & ~adjacent[inv[x]]).bit_count() for x in range(n)) // 2)
+        self.objective_evaluations += 1
         for _ in range(max_passes):
+            self.objective_evaluations += n * (n - 1) // 2
             improved = False
-            for i, a in enumerate(nodes):
-                for b in nodes[i + 1:]:
-                    self.objective_evaluations += 1
-                    before = local(a, b)
-                    mapping[a], mapping[b] = mapping[b], mapping[a]
-                    inverse[mapping[a]], inverse[mapping[b]] = a, b
-                    after = local(a, b)
-                    if after + 1e-12 < before:
-                        current += after - before
+            for a in range(n):
+                sub_a = sub[a]
+                incident_a = incident[a]
+                adjacent_a = adjacent[a]
+                bit_a = 1 << a
+                for b in range(a + 1, n):
+                    image_a = m[a]
+                    image_b = m[b]
+                    sub_b = sub[b]
+                    delta = (sub_a[image_b] + sub_b[image_a]
+                             - sub_a[image_a] - sub_b[image_b])
+                    for v, rows in incident_a:
+                        if v != b:
+                            x = m[v]
+                            delta += rows[image_b][x] - rows[image_a][x]
+                    for v, rows in incident[b]:
+                        if v != a:
+                            x = m[v]
+                            delta += rows[image_a][x] - rows[image_b][x]
+                    adjacent_b = adjacent[b]
+                    # Candidate edges at image_a (b's after the swap) and
+                    # image_b (a's), less the edge between them, which
+                    # the swap cannot change.
+                    pre_a = pre[image_a] & ~(1 << b)
+                    pre_b = pre[image_b] & ~bit_a
+                    delta += insert * (
+                        (pre_a & adjacent_a).bit_count()
+                        - (pre_a & adjacent_b).bit_count()
+                        + (pre_b & adjacent_b).bit_count()
+                        - (pre_b & adjacent_a).bit_count())
+                    if delta < 0:
+                        current += delta
                         improved = True
-                    else:  # revert
-                        mapping[a], mapping[b] = mapping[b], mapping[a]
-                        inverse[mapping[a]], inverse[mapping[b]] = a, b
-            if not improved or current <= 1e-12:
+                        m[a], m[b] = image_b, image_a
+                        flip = bit_a | 1 << b
+                        for q in candidate_adjacent[image_a]:
+                            pre[q] ^= flip
+                        for q in candidate_adjacent[image_b]:
+                            pre[q] ^= flip
+            if not improved or current <= 0:
                 break
-        return current, mapping
+        nodes = tables.candidate_nodes
+        position = tables.request_index
+        return current / 16, {v: nodes[m[position[v]]] for v in seed}
 
     def map_fragmented(self, request: Topology,
                        allocated: set[int] | None = None) -> MappingResult:

@@ -70,7 +70,9 @@ from repro.serving.faults import (
 from repro.serving.metrics import (
     FleetMetrics,
     SessionRecord,
-    fragmentation_ratio,
+    # The reference ``FleetChip.fragmentation`` equals, kept importable
+    # here for the layer tracer in benchmarks/e2e.
+    fragmentation_ratio,  # noqa: F401
 )
 from repro.serving.policies import AdmissionPolicy, coerce_policy
 from repro.serving.slo import (
@@ -414,13 +416,17 @@ class FleetChip:
         return self.hypervisor.core_utilization()
 
     def fragmentation(self) -> float:
-        """Fragmentation ratio of the free set, memoized per occupancy
-        version: a chip whose residents did not change is not re-walked."""
-        version = self.hypervisor.occupancy_version
+        """Fragmentation ratio of the free set (exactly
+        ``fragmentation_ratio(chip.topology, allocated_cores)``, by a
+        flood fill on the mapper's neighbour masks), memoized per
+        occupancy version: a chip whose residents did not change is not
+        re-walked."""
+        hypervisor = self.hypervisor
+        version = hypervisor.occupancy_version
         memo = self._fragmentation_memo
         if memo is None or memo[0] != version:
-            memo = (version, fragmentation_ratio(
-                self.chip.topology, self.hypervisor.allocated_cores))
+            memo = (version, hypervisor.mapper.free_fragmentation(
+                hypervisor.allocated_cores))
             self._fragmentation_memo = memo
         return memo[1]
 
@@ -717,10 +723,17 @@ class FleetScheduler:
         #: One mapper memo object per distinct chip config, shared by
         #: every hypervisor built from that config.
         self._shape_memos: dict[SoCConfig, ShapeMemos] = {}
-        #: Free cores per chip, 0 while the chip is unhealthy: kept
-        #: current by each hypervisor's ``on_change``, so the admit loop
-        #: reads the most free healthy chip without polling every chip.
+        #: Per-chip gauges kept current by each hypervisor's
+        #: ``on_change``, so neither the admit loop nor ``_sample`` polls
+        #: every chip: free cores with 0 while the chip is unhealthy (the
+        #: most free healthy chip), free cores and utilization as the
+        #: chip reports them, and the fragmentation ratio, recomputed by
+        #: ``_sample`` for the chips marked stale since the last sample.
         self._free_by_chip: list[int] = []
+        self._chip_free: list[int] = []
+        self._chip_utilization: list[float] = []
+        self._chip_fragmentation: list[float] = []
+        self._fragmentation_stale: set[int] = set()
         self.chips: list[FleetChip] = [
             self._build_chip(index, config)
             for index, config in enumerate(configs)]
@@ -766,13 +779,20 @@ class FleetScheduler:
         hypervisor = Hypervisor(chip, memos=self._shape_memos.get(config))
         self._shape_memos.setdefault(config, hypervisor.mapper.memos)
         fleet_chip = FleetChip(index, chip, hypervisor)
-        self._free_by_chip.append(fleet_chip.free_cores())
+        for gauge in (self._free_by_chip, self._chip_free,
+                      self._chip_utilization, self._chip_fragmentation):
+            gauge.append(0)
+        self._note_chip_change(fleet_chip)
         hypervisor.on_change = partial(self._note_chip_change, fleet_chip)
         return fleet_chip
 
     def _note_chip_change(self, fleet_chip: FleetChip) -> None:
-        self._free_by_chip[fleet_chip.index] = (
-            fleet_chip.free_cores() if fleet_chip.healthy else 0)
+        index = fleet_chip.index
+        free = fleet_chip.free_cores()
+        self._free_by_chip[index] = free if fleet_chip.healthy else 0
+        self._chip_free[index] = free
+        self._chip_utilization[index] = fleet_chip.utilization()
+        self._fragmentation_stale.add(index)
 
     @classmethod
     def homogeneous(cls, chips: int, cores: int = 36,
@@ -1561,12 +1581,18 @@ class FleetScheduler:
 
     # -- observability -----------------------------------------------------
     def _sample(self) -> None:
-        free = sum(fc.free_cores() for fc in self.chips)
-        utilization = tuple(fc.utilization() for fc in self.chips)
-        fragmentation = [fc.fragmentation() for fc in self.chips]
+        """Fold this instant into the metrics, reading the per-chip
+        gauges in chip order (only stale fragmentation is recomputed)."""
+        fragmentation = self._chip_fragmentation
+        stale = self._fragmentation_stale
+        if stale:
+            chips = self.chips
+            for index in stale:
+                fragmentation[index] = chips[index].fragmentation()
+            stale.clear()
         self.metrics.sample(
             self.sim.now,
-            utilization=1.0 - free / self.core_count,
+            utilization=1.0 - sum(self._chip_free) / self.core_count,
             fragmentation=sum(fragmentation) / len(fragmentation),
             queue_length=len(self._pending),
-            chip_utilization=utilization)
+            chip_utilization=tuple(self._chip_utilization))

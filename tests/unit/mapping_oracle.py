@@ -325,7 +325,7 @@ class ReferenceMapper(TopologyMapper):
                 raise AllocationError(
                     f"free cores hold no connected {k}-subset")
             return self.map_fragmented(request, allocated)
-        distance, mapping = self._best_placement(request, candidates)
+        distance, mapping = self._serial_placement(request, candidates)
         return MappingResult(
             strategy="similar", vmap=mapping, distance=distance,
             connected=True, candidates_considered=len(subsets),
@@ -334,7 +334,7 @@ class ReferenceMapper(TopologyMapper):
     def _bijection(self, request, candidate):
         return scalar_best_bijection(request, candidate, self.costs)
 
-    def _best_placement(self, request, candidates):
+    def _serial_placement(self, request, candidates):
         best: tuple[float, Topology, dict[int, int]] | None = None
         for candidate in candidates:  # Algorithm 1 lines 30-32, serially
             distance, mapping = self._bijection(request, candidate)
@@ -354,6 +354,18 @@ class ReferenceMapper(TopologyMapper):
         distance = induced_edit_cost(request, candidate, dict(best_mapping),
                                      self.costs)
         return distance, best_mapping
+
+    def _stretch_objective(self, request, candidate, mapping, hop):
+        """Induced edit cost plus ``STRETCH_WEIGHT`` times the extra hops
+        of every request edge, recomputed from scratch."""
+        self.objective_evaluations += 1
+        cost = induced_edit_cost(request, candidate, dict(mapping),
+                                 self.costs)
+        stretch = sum(
+            hop[mapping[u]].get(mapping[v], request.node_count) - 1
+            for u, v in request.edges
+        )
+        return cost + self.STRETCH_WEIGHT * stretch
 
     def _stretch_aware_refine(self, request, candidate, seed, hop,
                               max_passes: int = 6):

@@ -163,8 +163,9 @@ class TestFastPathEquivalence:
         reference = ReferenceMapper(chip, costs=costs)
         hop = all_pairs_hops(candidate)
         _, seed = best_bijection(request, candidate, costs)
+        tables = fast._refine_tables(request, candidate, hop)
         for start in fast._polish_seeds(request, candidate, seed):
-            assert (fast._refine_delta(request, candidate, start, hop)
+            assert (fast._refine_delta(tables, start)
                     == reference._stretch_aware_refine(request, candidate,
                                                        start, hop))
         assert fast.objective_evaluations == reference.objective_evaluations

@@ -10,18 +10,19 @@ equal it, and the version must move whenever the set does.
 
 :meth:`FleetChip.fragmentation` memoizes per occupancy version; served
 end to end through migrations, evacuations and kills, every sampled
-value must equal a fresh BFS, with at most one BFS per (chip, version).
+value must equal a fresh BFS, with at most one mask flood fill
+(``TopologyMapper.free_fragmentation``) per (chip, version).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.serving.fleet as fleet_module
 from repro.arch.chip import Chip
 from repro.arch.config import MB, sim_config
 from repro.arch.topology import MeshShape
 from repro.core.hypervisor import Hypervisor
+from repro.core.topology_mapping import TopologyMapper
 from repro.core.vnpu import VNpuSpec
 from repro.errors import AllocationError, HypervisorError
 from repro.serving import (
@@ -182,7 +183,7 @@ def test_record_is_shared_not_copied():
 def test_fragmentation_memo_matches_fresh_bfs(monkeypatch):
     """Serve a churny faulted, defragmenting, elastic trace: every
     sampled chip's memoized fragmentation equals a fresh BFS, and the
-    BFS runs at most once per (chip, occupancy version)."""
+    flood fill runs at most once per (chip, occupancy version)."""
     chips = 4
     trace = generate_fleet_trace(
         1, 120, chips=chips, max_cores=16,
@@ -197,13 +198,14 @@ def test_fragmentation_memo_matches_fresh_bfs(monkeypatch):
         evacuation="shrink_to_fit")
 
     calls = 0
+    flood_fill = TopologyMapper.free_fragmentation
 
-    def counting(topology, allocated):
+    def counting(mapper, allocated):
         nonlocal calls
         calls += 1
-        return fragmentation_ratio(topology, allocated)
+        return flood_fill(mapper, allocated)
 
-    monkeypatch.setattr(fleet_module, "fragmentation_ratio", counting)
+    monkeypatch.setattr(TopologyMapper, "free_fragmentation", counting)
     samples = 0
     original_sample = fleet._sample
 
