@@ -83,12 +83,11 @@ class Hypervisor:
 
     Occupancy is one record, replaced only in ``_provision`` (after the
     vNPU is committed) and ``_teardown``: the immutable ``frozenset``
-    behind ``allocated_cores`` plus an ``occupancy_version`` bumped on
-    every change. Reads are O(1). Derived state keys on it: the fleet's
-    fragmentation memo on the version, the mapper's free-set memo on
-    the frozenset itself. State that spans several chips cannot poll
-    every version cheaply, so ``on_change`` (when set) is called after
-    every occupancy or health change.
+    behind ``allocated_cores``. Reads are O(1). The mapper's free-set
+    memo keys on the frozenset itself; ``on_change`` (when set) is
+    called after every occupancy change, which is how a fleet chip
+    keeps its free-core count and fragmentation memo current. Health
+    changes do not call it: health is read live.
     """
 
     def __init__(self, chip: Chip, strategy: str = "similar",
@@ -106,10 +105,8 @@ class Hypervisor:
         self.buddy = BuddyAllocator(capacity=capacity, min_block=min_block)
         self._vnpus: dict[int, VirtualNPU] = {}
         self._allocated: frozenset[int] = frozenset()
-        #: Bumped whenever ``allocated_cores`` changes.
-        self.occupancy_version = 0
-        #: Called with no arguments after every occupancy or health
-        #: change (the fleet refreshes its per-chip gauges).
+        #: Called with no arguments after every occupancy change
+        #: (``FleetChip`` installs it to refresh its derived state).
         self.on_change: Callable[[], None] | None = None
         self._next_vmid = 1
         self._healthy = True
@@ -150,15 +147,10 @@ class Hypervisor:
     # -- health lifecycle --------------------------------------------------
     def mark_failed(self) -> None:
         """Enter degraded mode: new placements fail fast, drains allowed."""
-        self._set_healthy(False)
+        self._healthy = False
 
     def mark_recovered(self) -> None:
-        self._set_healthy(True)
-
-    def _set_healthy(self, healthy: bool) -> None:
-        self._healthy = healthy
-        if self.on_change is not None:
-            self.on_change()
+        self._healthy = True
 
     def _require_healthy(self, operation: str) -> None:
         if not self._healthy:
@@ -199,7 +191,7 @@ class Hypervisor:
         for vmid, spec, mapping in state["vnpus"]:
             self._provision(spec, mapping, vmid=vmid)
         self._next_vmid = state["next_vmid"]
-        self._set_healthy(state["healthy"])
+        self._healthy = state["healthy"]
 
     # -- lifecycle -----------------------------------------------------------
     def create_vnpu(self, spec: VNpuSpec,
@@ -408,7 +400,6 @@ class Hypervisor:
 
     def _set_allocated(self, cores: frozenset[int]) -> None:
         self._allocated = cores
-        self.occupancy_version += 1
         if self.on_change is not None:
             self.on_change()
 

@@ -50,7 +50,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from repro.arch.chip import Chip
 from repro.arch.config import SoCConfig, sim_config
@@ -391,14 +391,29 @@ def sum_mapper_stats(stats) -> dict[str, int | float]:
 
 @dataclass
 class FleetChip:
-    """One chip of the fleet: its hypervisor plus derived state."""
+    """One chip of the fleet: its hypervisor plus derived state.
+
+    Building one installs the hypervisor's ``on_change`` hook, so
+    ``free`` and the fragmentation memo stay current inside a fleet or
+    outside one (a custom placement policy's test, say).
+    """
 
     index: int
     chip: Chip
     hypervisor: Hypervisor
-    #: ``(occupancy_version, ratio)`` of the last fragmentation read.
-    _fragmentation_memo: tuple[int, float] | None = field(
+    #: Free cores on the chip, healthy or not.
+    free: int = field(init=False)
+    #: The free set's fragmentation ratio; None until read after a change.
+    _fragmentation: float | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.hypervisor.on_change = self._occupancy_changed
+        self._occupancy_changed()
+
+    def _occupancy_changed(self) -> None:
+        self.free = self.hypervisor.free_core_count()
+        self._fragmentation = None
 
     @property
     def healthy(self) -> bool:
@@ -409,26 +424,17 @@ class FleetChip:
         """
         return self.hypervisor.healthy
 
-    def free_cores(self) -> int:
-        return self.hypervisor.free_core_count()
-
-    def utilization(self) -> float:
-        return self.hypervisor.core_utilization()
-
     def fragmentation(self) -> float:
         """Fragmentation ratio of the free set (exactly
         ``fragmentation_ratio(chip.topology, allocated_cores)``, by a
-        flood fill on the mapper's neighbour masks), memoized per
-        occupancy version: a chip whose residents did not change is not
-        re-walked."""
-        hypervisor = self.hypervisor
-        version = hypervisor.occupancy_version
-        memo = self._fragmentation_memo
-        if memo is None or memo[0] != version:
-            memo = (version, hypervisor.mapper.free_fragmentation(
-                hypervisor.allocated_cores))
-            self._fragmentation_memo = memo
-        return memo[1]
+        flood fill on the mapper's neighbour masks), memoized until the
+        next occupancy change: a chip whose residents did not change is
+        not re-walked."""
+        if self._fragmentation is None:
+            hypervisor = self.hypervisor
+            self._fragmentation = hypervisor.mapper.free_fragmentation(
+                hypervisor.allocated_cores)
+        return self._fragmentation
 
 
 # -- cross-chip placement policies -----------------------------------------
@@ -437,8 +443,9 @@ class PlacementPolicy:
     """Orders the fleet's chips for one session's placement attempt.
 
     ``rank`` returns an iterable of the chips to try, best first; chips
-    without enough free cores — and chips inside a fault outage (``not
-    healthy``) — are excluded. Callers consume it lazily and abandon it
+    without enough free cores (``FleetChip.free``, kept current by the
+    chip itself) — and chips inside a fault outage (``not healthy``) —
+    are excluded. Callers consume it lazily and abandon it
     once a placement lands, so a generator that defers work on chips
     it may never reach is allowed. An empty ranking parks the session
     until a departure (or migration, or recovery) changes some chip's
@@ -459,7 +466,7 @@ def _fitting(chips: "list[FleetChip]",
     fits = []
     for fleet_chip in chips:
         if fleet_chip.healthy:
-            free = fleet_chip.free_cores()
+            free = fleet_chip.free
             if session.core_count <= free:
                 fits.append((free, fleet_chip))
     return fits
@@ -723,17 +730,6 @@ class FleetScheduler:
         #: One mapper memo object per distinct chip config, shared by
         #: every hypervisor built from that config.
         self._shape_memos: dict[SoCConfig, ShapeMemos] = {}
-        #: Per-chip gauges kept current by each hypervisor's
-        #: ``on_change``, so neither the admit loop nor ``_sample`` polls
-        #: every chip: free cores with 0 while the chip is unhealthy (the
-        #: most free healthy chip), free cores and utilization as the
-        #: chip reports them, and the fragmentation ratio, recomputed by
-        #: ``_sample`` for the chips marked stale since the last sample.
-        self._free_by_chip: list[int] = []
-        self._chip_free: list[int] = []
-        self._chip_utilization: list[float] = []
-        self._chip_fragmentation: list[float] = []
-        self._fragmentation_stale: set[int] = set()
         self.chips: list[FleetChip] = [
             self._build_chip(index, config)
             for index, config in enumerate(configs)]
@@ -778,21 +774,7 @@ class FleetScheduler:
         chip = Chip(config, sim=self.sim)
         hypervisor = Hypervisor(chip, memos=self._shape_memos.get(config))
         self._shape_memos.setdefault(config, hypervisor.mapper.memos)
-        fleet_chip = FleetChip(index, chip, hypervisor)
-        for gauge in (self._free_by_chip, self._chip_free,
-                      self._chip_utilization, self._chip_fragmentation):
-            gauge.append(0)
-        self._note_chip_change(fleet_chip)
-        hypervisor.on_change = partial(self._note_chip_change, fleet_chip)
-        return fleet_chip
-
-    def _note_chip_change(self, fleet_chip: FleetChip) -> None:
-        index = fleet_chip.index
-        free = fleet_chip.free_cores()
-        self._free_by_chip[index] = free if fleet_chip.healthy else 0
-        self._chip_free[index] = free
-        self._chip_utilization[index] = fleet_chip.utilization()
-        self._fragmentation_stale.add(index)
+        return FleetChip(index, chip, hypervisor)
 
     @classmethod
     def homogeneous(cls, chips: int, cores: int = 36,
@@ -817,7 +799,7 @@ class FleetScheduler:
         return len(self._active)
 
     def free_core_count(self) -> int:
-        return sum(fc.free_cores() for fc in self.chips)
+        return sum(fc.free for fc in self.chips)
 
     def mapper_stats(self) -> dict[str, int | float]:
         """Fleet-wide mapper counters (per-chip ``cache_stats`` summed).
@@ -1081,8 +1063,12 @@ class FleetScheduler:
 
     # -- admission ---------------------------------------------------------
     def _admit_loop(self) -> None:
+        chips = self.chips
         while True:
-            most_free = max(self._free_by_chip)  # on any healthy chip
+            most_free = 0  # on any healthy chip
+            for fc in chips:
+                if fc.free > most_free and fc.healthy:
+                    most_free = fc.free
             entry = self.policy.select(self._pending, most_free)
             if entry is not None:
                 self._try_admit(entry)
@@ -1131,7 +1117,7 @@ class FleetScheduler:
         largest = max(fc.chip.core_count for fc in healthy)
         idle = [fc for fc in healthy
                 if fc.chip.core_count == largest
-                and not fc.hypervisor.vnpus
+                and fc.free == fc.chip.core_count
                 and session.core_count <= fc.chip.core_count
                 and session.memory_bytes
                 <= fc.hypervisor.guest_memory_capacity]
@@ -1240,9 +1226,8 @@ class FleetScheduler:
         tier = entry.slo.tier
         for fleet_chip in sorted(
                 (fc for fc in self.chips if fc.healthy),
-                key=lambda fc: (-fc.free_cores(), fc.index)):
-            needed = max(1,
-                         entry.session.core_count - fleet_chip.free_cores())
+                key=lambda fc: (-fc.free, fc.index)):
+            needed = max(1, entry.session.core_count - fleet_chip.free)
             victims = self._victims(fleet_chip, tier)
             actions = self.elastic.plan(needed, victims)
             if not actions:
@@ -1422,8 +1407,8 @@ class FleetScheduler:
         destinations = sorted(
             (fc for fc in self.chips
              if fc is not source and fc.healthy
-             and vnpu.core_count <= fc.free_cores()),
-            key=lambda fc: (-fc.free_cores(), fc.index),
+             and vnpu.core_count <= fc.free),
+            key=lambda fc: (-fc.free, fc.index),
         )
         if not evacuating:
             destinations.append(source)  # in-place compaction, last resort
@@ -1581,18 +1566,21 @@ class FleetScheduler:
 
     # -- observability -----------------------------------------------------
     def _sample(self) -> None:
-        """Fold this instant into the metrics, reading the per-chip
-        gauges in chip order (only stale fragmentation is recomputed)."""
-        fragmentation = self._chip_fragmentation
-        stale = self._fragmentation_stale
-        if stale:
-            chips = self.chips
-            for index in stale:
-                fragmentation[index] = chips[index].fragmentation()
-            stale.clear()
+        """Fold this instant into the metrics from each chip's own
+        ``free`` and memoized ``fragmentation()``, in chip order; a
+        chip's utilization ``(cores - free) / cores`` is the same int
+        division as ``Hypervisor.core_utilization``."""
+        free = 0
+        fragmentation = []
+        utilization = []
+        for fc in self.chips:
+            cores, chip_free = fc.chip.core_count, fc.free
+            free += chip_free
+            fragmentation.append(fc.fragmentation())
+            utilization.append((cores - chip_free) / cores)
         self.metrics.sample(
             self.sim.now,
-            utilization=1.0 - sum(self._chip_free) / self.core_count,
+            utilization=1.0 - free / self.core_count,
             fragmentation=sum(fragmentation) / len(fragmentation),
             queue_length=len(self._pending),
-            chip_utilization=tuple(self._chip_utilization))
+            chip_utilization=tuple(utilization))

@@ -362,7 +362,7 @@ class ShardSlice:
                 if fence - dealt >= self.spill_after_cycles:
                     spills.append(AdmitOrder.of(entry))
         return {
-            "free_cores": tuple(fc.free_cores() for fc in fleet.chips),
+            "free_cores": tuple(fc.free for fc in fleet.chips),
             "healthy": tuple(fc.healthy for fc in fleet.chips),
             "pending": len(pending),
             "active": fleet.active_count,

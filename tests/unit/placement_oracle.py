@@ -24,7 +24,8 @@ def reference_best_fit_rank(chips, session) -> list:
     for fleet_chip in chips:
         if not fleet_chip.healthy:
             continue
-        if session.core_count > fleet_chip.free_cores():
+        free = fleet_chip.hypervisor.free_core_count()
+        if session.core_count > free:
             continue
         mapper = fleet_chip.hypervisor.mapper
         try:
@@ -32,7 +33,7 @@ def reference_best_fit_rank(chips, session) -> list:
                 request, fleet_chip.hypervisor.allocated_cores)
         except AllocationError:
             continue
-        leftover = fleet_chip.free_cores() - session.core_count
+        leftover = free - session.core_count
         scored.append((trial.distance, leftover, fleet_chip.index,
                        fleet_chip))
     return [entry[-1] for entry in sorted(scored, key=lambda e: e[:3])]

@@ -108,7 +108,7 @@ def test_relief_pick_matches_sorted_head(pending, now, busy_cores):
             VNpuSpec("busy", MeshShape(1, busy_cores), busy_cores * 8 * MB))
     fleet._pending = PendingQueue(pending)
     fleet.sim.now = now
-    most_free = fleet.chips[0].free_cores()
+    most_free = fleet.chips[0].free
     assert (fleet._relief_entry(most_free)
             is reference_relief_pick(pending, most_free, now))
 

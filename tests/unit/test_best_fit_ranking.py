@@ -86,6 +86,10 @@ class TestExactFirstRanking:
     @given(seed=st.integers(0, 2**32 - 1), shape=SHAPE)
     def test_lazy_ranking_equals_eager_sort(self, seed, shape):
         fleet = build_fleet(seed, "best_fit")
+        # The lazy ranking reads each chip's ``free`` gauge; the oracle
+        # reads the hypervisor. Both must agree before the orders can.
+        assert all(c.free == c.hypervisor.free_core_count()
+                   for c in fleet.chips)
         session = request(*shape)
         lazy = [c.index for c in BestFitPlacement().rank(fleet.chips,
                                                          session)]

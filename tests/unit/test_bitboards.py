@@ -249,21 +249,22 @@ class TestRectangleTable:
 # -- placement ranks ---------------------------------------------------------
 
 class CountingChip:
-    """A fleet chip stand-in that counts its ``free_cores()`` reads."""
+    """A fleet chip stand-in that counts its ``free`` reads."""
 
     def __init__(self, index, free, healthy):
         self.index = index
-        self.free = free
+        self.cores_free = free
         self.healthy = healthy
         self.reads = 0
 
-    def free_cores(self):
+    @property
+    def free(self):
         self.reads += 1
-        return self.free
+        return self.cores_free
 
 
 def old_order(fits):
-    return sorted(fits, key=lambda c: (-c.free, c.index))
+    return sorted(fits, key=lambda c: (-c.cores_free, c.index))
 
 
 @settings(max_examples=200, deadline=None)
@@ -275,11 +276,11 @@ def old_order(fits):
 def test_ranks_read_free_cores_once_and_keep_the_order(frees, sick, need,
                                                        seed, session_id):
     """Chip order, ties included, is the order of the sort that read
-    ``free_cores()`` in its key; each chip is read at most once."""
+    ``free`` in its key; each chip is read at most once."""
     chips = [CountingChip(i, free, i not in sick)
              for i, free in enumerate(frees)]
     session = SimpleNamespace(core_count=need, session_id=session_id)
-    fits = [c for c in chips if c.healthy and need <= c.free]
+    fits = [c for c in chips if c.healthy and need <= c.cores_free]
 
     ranked = LeastLoadedPlacement().rank(chips, session)
     assert ranked == old_order(fits)

@@ -60,7 +60,7 @@ class TestPlacementRegistry:
 
             def rank(self, chips, session):
                 return [c for c in chips
-                        if session.core_count <= c.free_cores()][:1]
+                        if session.core_count <= c.free][:1]
 
         register_placement(FirstChip())
         try:

@@ -1,17 +1,20 @@
-"""The hypervisor's occupancy record and the fleet's fragmentation memo.
+"""The hypervisor's occupancy record and a fleet chip's derived state.
 
 :class:`Hypervisor` keeps ``allocated_cores`` as one incrementally
-maintained ``frozenset`` plus an ``occupancy_version`` counter instead of
-re-unioning every resident's cores per read. The reference here is the
-loop that record replaced; after every step of an arbitrary lifecycle
-churn — including refused provisions, failed migrations/resizes that
-restore the old placement, and checkpoint restores — the record must
-equal it, and the version must move whenever the set does.
+maintained ``frozenset`` instead of re-unioning every resident's cores
+per read. The reference here is the loop that record replaced; after
+every step of an arbitrary lifecycle churn — including refused
+provisions, failed migrations/resizes that restore the old placement,
+health changes and checkpoint restores — the record must equal it. Each
+hypervisor of the churn sits in a standalone :class:`FleetChip`, whose
+``free`` and ``fragmentation()`` must equal fresh reads after every
+step; health changes must not touch them.
 
-:meth:`FleetChip.fragmentation` memoizes per occupancy version; served
-end to end through migrations, evacuations and kills, every sampled
-value must equal a fresh BFS, with at most one mask flood fill
-(``TopologyMapper.free_fragmentation``) per (chip, version).
+:meth:`FleetChip.fragmentation` memoizes until the hypervisor's
+``on_change`` hook fires; served end to end through migrations,
+evacuations and kills, every sampled value must equal a fresh BFS, with
+at most one mask flood fill (``TopologyMapper.free_fragmentation``) per
+chip and occupancy change.
 """
 
 import pytest
@@ -32,12 +35,16 @@ from repro.serving import (
     generate_failure_schedule,
     generate_fleet_trace,
 )
+from repro.serving.fleet import FleetChip
 from repro.serving.metrics import fragmentation_ratio
 from repro.sim import Simulator
 
 SHAPES = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (1, 4)]
 OPS = ("create", "destroy", "kill", "migrate", "migrate_cross", "resize",
-       "create_no_memory", "migrate_fails", "resize_fails", "restore")
+       "create_no_memory", "migrate_fails", "resize_fails", "restore",
+       "mark_failed", "mark_recovered")
+#: Operations that change health only.
+HEALTH_OPS = ("mark_failed", "mark_recovered")
 
 
 def union_of_residents(hypervisor):
@@ -65,10 +72,27 @@ def fail_next_memory_allocation(hypervisor):
     hypervisor._allocate_memory = refuse_once
 
 
-def apply(op, pick, hypervisors):
-    """Run one churn step; refused operations are part of the churn."""
-    hv = hypervisors[pick % len(hypervisors)]
-    other = hypervisors[(pick + 1) % len(hypervisors)]
+def watched_chip(index, hypervisor):
+    """A standalone ``FleetChip`` around ``hypervisor`` whose flood
+    fills are counted in ``fills``."""
+    fleet_chip = FleetChip(index, hypervisor.chip, hypervisor)
+    flood_fill = hypervisor.mapper.free_fragmentation
+    fleet_chip.fills = 0
+
+    def counting(allocated):
+        fleet_chip.fills += 1
+        return flood_fill(allocated)
+
+    hypervisor.mapper.free_fragmentation = counting
+    return fleet_chip
+
+
+def apply(op, pick, chips):
+    """Run one churn step on the hypervisors of ``chips`` (a restore
+    replaces its chip); refused operations are part of the churn."""
+    position = pick % len(chips)
+    hv = chips[position].hypervisor
+    other = chips[(pick + 1) % len(chips)].hypervisor
     vmids = [v.vmid for v in hv.vnpus]
     vmid = vmids[pick % len(vmids)] if vmids else None
     rows, cols = SHAPES[pick % len(SHAPES)]
@@ -77,15 +101,24 @@ def apply(op, pick, hypervisors):
             hv.create_vnpu(spec(rows, cols))
         elif op == "create_no_memory":
             # Cores map, then the buddy refuses: the provision rolls back.
+            # A failed chip refuses before mapping.
             too_big = VNpuSpec("huge", MeshShape(1, 1),
                                hv.buddy.capacity + hv.buddy.min_block)
-            with pytest.raises(AllocationError):
+            with pytest.raises(AllocationError if hv.healthy
+                               else HypervisorError):
                 hv.create_vnpu(too_big)
         elif op == "restore":
-            fresh = Hypervisor(Chip(sim_config(16), sim=hv.chip.sim))
-            fresh.restore_state(hv.snapshot_state())
-            assert fresh.allocated_cores == hv.allocated_cores
-            hypervisors[pick % len(hypervisors)] = fresh
+            # The chip wraps the fresh hypervisor before the restore, so
+            # its hook sees the restore's provisions.
+            fresh = watched_chip(position, Hypervisor(
+                Chip(sim_config(16), sim=hv.chip.sim)))
+            fresh.hypervisor.restore_state(hv.snapshot_state())
+            assert fresh.hypervisor.allocated_cores == hv.allocated_cores
+            chips[position] = fresh
+        elif op == "mark_failed":
+            hv.mark_failed()
+        elif op == "mark_recovered":
+            hv.mark_recovered()
         elif vmid is None:
             return
         elif op == "destroy":
@@ -105,7 +138,8 @@ def apply(op, pick, hypervisors):
                 hv.migrate_vnpu(vmid)
             except AllocationError:
                 assert hv.vnpu(vmid).physical_cores == before
-            hv.__dict__.pop("_allocate_memory", None)
+            finally:
+                hv.__dict__.pop("_allocate_memory", None)
         elif op == "resize_fails":
             fail_next_memory_allocation(hv)
             before = hv.vnpu(vmid).physical_cores
@@ -113,12 +147,16 @@ def apply(op, pick, hypervisors):
                 hv.resize_vnpu(vmid, spec(rows, cols))
             except AllocationError:
                 assert hv.vnpu(vmid).physical_cores == before
-            hv.__dict__.pop("_allocate_memory", None)
-    except AllocationError:
-        pass  # no placement this step: state must still be consistent
+            finally:
+                hv.__dict__.pop("_allocate_memory", None)
+    except (AllocationError, HypervisorError):
+        # No placement, or a failed chip refused it: state must still
+        # be consistent.
+        pass
 
 
-def assert_record(hypervisor):
+def assert_record(fleet_chip):
+    hypervisor = fleet_chip.hypervisor
     reference = union_of_residents(hypervisor)
     record = hypervisor.allocated_cores
     assert isinstance(record, frozenset)
@@ -126,6 +164,9 @@ def assert_record(hypervisor):
     core_count = hypervisor.chip.core_count
     assert hypervisor.free_core_count() == core_count - len(reference)
     assert hypervisor.core_utilization() == len(reference) / core_count
+    assert fleet_chip.free == core_count - len(reference)
+    assert fleet_chip.fragmentation().hex() == fragmentation_ratio(
+        hypervisor.chip.topology, reference).hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,31 +175,31 @@ def assert_record(hypervisor):
                       min_size=1, max_size=40))
 def test_record_matches_union_loop_under_churn(steps):
     sim = Simulator()
-    hypervisors = [Hypervisor(Chip(sim_config(16), sim=sim))
-                   for _ in range(2)]
-    for hv in hypervisors:
-        assert_record(hv)
+    chips = [watched_chip(index, Hypervisor(Chip(sim_config(16), sim=sim)))
+             for index in range(2)]
+    for fleet_chip in chips:
+        assert_record(fleet_chip)
     for op, pick in steps:
-        before = [(hv, hv.allocated_cores, hv.occupancy_version)
-                  for hv in hypervisors]
-        apply(op, pick, hypervisors)
-        for (hv, cores, version), now in zip(before, hypervisors):
+        before = [(fc, fc.free, fc.fills) for fc in chips]
+        apply(op, pick, chips)
+        for (fc, free, fills), now in zip(before, chips):
+            if op in HEALTH_OPS:
+                # Health is read live: no hook, so the memo read right
+                # before the step is still served without a flood fill.
+                assert now is fc and now.free == free
+                now.fragmentation()
+                assert now.fills == fills
             assert_record(now)
-            if now is hv:
-                assert now.occupancy_version >= version
-                if now.allocated_cores != cores:
-                    assert now.occupancy_version != version
 
 
-def test_refused_provision_leaves_record_and_version_alone():
+def test_refused_provision_leaves_record_alone():
     hv = Hypervisor(Chip(sim_config(16)))
     hv.create_vnpu(spec(2, 2))
-    cores, version = hv.allocated_cores, hv.occupancy_version
+    cores = hv.allocated_cores
     with pytest.raises(AllocationError):
         hv.create_vnpu(VNpuSpec("huge", MeshShape(1, 1),
                                 hv.buddy.capacity + hv.buddy.min_block))
     assert hv.allocated_cores is cores
-    assert hv.occupancy_version == version
 
 
 def test_failed_create_on_failed_chip_leaves_record_alone():
@@ -167,7 +208,6 @@ def test_failed_create_on_failed_chip_leaves_record_alone():
     with pytest.raises(HypervisorError):
         hv.create_vnpu(spec(2, 2))
     assert hv.allocated_cores == frozenset()
-    assert hv.occupancy_version == 0
 
 
 def test_record_is_shared_not_copied():
@@ -183,7 +223,8 @@ def test_record_is_shared_not_copied():
 def test_fragmentation_memo_matches_fresh_bfs(monkeypatch):
     """Serve a churny faulted, defragmenting, elastic trace: every
     sampled chip's memoized fragmentation equals a fresh BFS, and the
-    flood fill runs at most once per (chip, occupancy version)."""
+    flood fill runs at most once per chip and occupancy change (counted
+    as calls of each hypervisor's ``on_change`` hook)."""
     chips = 4
     trace = generate_fleet_trace(
         1, 120, chips=chips, max_cores=16,
@@ -206,6 +247,17 @@ def test_fragmentation_memo_matches_fresh_bfs(monkeypatch):
         return flood_fill(mapper, allocated)
 
     monkeypatch.setattr(TopologyMapper, "free_fragmentation", counting)
+    changes = 0
+
+    def counted(hook):
+        def on_change():
+            nonlocal changes
+            changes += 1
+            hook()
+        return on_change
+
+    for fc in fleet.chips:
+        fc.hypervisor.on_change = counted(fc.hypervisor.on_change)
     samples = 0
     original_sample = fleet._sample
 
@@ -224,7 +276,5 @@ def test_fragmentation_memo_matches_fresh_bfs(monkeypatch):
     assert metrics.migrations > 0
     assert metrics.evacuations > 0
     assert metrics.killed_sessions > 0
-    version_changes = sum(fc.hypervisor.occupancy_version
-                          for fc in fleet.chips)
-    assert calls <= version_changes + chips
+    assert calls <= changes + chips
     assert calls < samples * chips  # the memo actually absorbed reads

@@ -7,9 +7,9 @@ their references.
 - The mask lower bound against ``bijection_lower_bound`` on the
   candidate's subtopology, bit for bit.
 - The mask flood fill behind ``FleetChip.fragmentation`` against
-  ``fragmentation_ratio``, and the per-chip gauges ``_sample`` reads
-  against fresh per-chip reads through admits, departures, faults,
-  migrations and a snapshot/restore.
+  ``fragmentation_ratio``, and each chip's ``free`` gauge and the values
+  ``_sample`` hands to the metrics against fresh per-chip reads through
+  admits, departures, faults, migrations and a snapshot/restore.
 """
 
 import random
@@ -216,8 +216,9 @@ class TestFragmentationGauges:
            failures=st.integers(0, 5))
     def test_gauges_equal_fresh_reads(self, seed, pause_at, failures):
         """Through admits, departures, faults, defrag migrations,
-        elastic resizes and a restore, every gauge ``_sample`` reads
-        equals a fresh per-chip read."""
+        elastic resizes and a restore, every chip's ``free`` equals a
+        fresh read, and so does every value ``_sample`` passes to
+        ``metrics.sample``, bit for bit."""
         chips = 3
         trace = generate_fleet_trace(
             seed, 50, chips=chips, max_cores=16,
@@ -230,29 +231,41 @@ class TestFragmentationGauges:
                       defrag=DefragPolicy(0.2), faults=faults)
         samples = []
 
-        def check(fleet, sampled):
+        def check(fleet, sampled=None):
             for fc in fleet.chips:
-                hypervisor = fc.hypervisor
-                index = fc.index
-                assert (fleet._chip_free[index]
-                        == hypervisor.free_core_count())
-                assert (fleet._chip_utilization[index]
-                        == hypervisor.core_utilization())
-                assert fleet._free_by_chip[index] == (
-                    hypervisor.free_core_count() if fc.healthy else 0)
-            if sampled:
-                assert fleet._chip_fragmentation == [
-                    fragmentation_ratio(fc.chip.topology,
-                                        fc.hypervisor.allocated_cores)
-                    for fc in fleet.chips]
+                assert fc.free == fc.hypervisor.free_core_count()
+            if sampled is None:
+                return
+            hypervisors = [fc.hypervisor for fc in fleet.chips]
+            assert [share.hex() for share in sampled["chip_utilization"]] \
+                == [hv.core_utilization().hex() for hv in hypervisors]
+            assert sampled["fragmentation"].hex() == (sum(
+                fragmentation_ratio(hv.chip.topology, hv.allocated_cores)
+                for hv in hypervisors) / len(hypervisors)).hex()
+            assert sampled["utilization"].hex() == (1.0 - sum(
+                hv.free_core_count() for hv in hypervisors)
+                / fleet.core_count).hex()
 
         def spied(fleet):
             original = fleet._sample
 
             def sample():
-                original()
+                metrics = fleet.metrics
+                sampled = {}
+                fold = metrics.sample
+
+                def spy(cycle, **values):
+                    sampled.update(values)
+                    fold(cycle, **values)
+
+                # Only for this call: the snapshot pickles the metrics.
+                metrics.sample = spy
+                try:
+                    original()
+                finally:
+                    del metrics.sample
                 samples.append(fleet.sim.now)
-                check(fleet, sampled=True)
+                check(fleet, sampled)
 
             fleet._sample = sample
             return fleet
@@ -260,8 +273,8 @@ class TestFragmentationGauges:
         fleet = spied(FleetScheduler.homogeneous(chips, cores=16, **kwargs))
         fleet.submit(trace)
         fleet.run(until=trace[-1].arrival_cycle * pause_at // 100)
-        check(fleet, sampled=False)
+        check(fleet)
         restored = FleetScheduler.restore(fleet.snapshot(), **kwargs)
-        check(restored, sampled=False)
+        check(restored)
         spied(restored).run()
         assert samples
